@@ -470,7 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=2_000_000,
-        help="membership and verification enumeration cap (convex)",
+        help="cap on the subset hulls a convex net may enumerate: the"
+        " construction in d > 2 (the planar one enumerates none) and --verify",
     )
     con.set_defaults(func=cmd_construct)
 

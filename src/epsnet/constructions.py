@@ -144,7 +144,9 @@ def construct_convex_pair(
     hull joins side B when it has strictly more points below the halving
     hyperplane than above, side A otherwise.  The net points are common
     points of the families (nonempty under the profile conditions by a
-    Helly argument over the counting bound).
+    Helly argument over the counting bound).  ``member_budget`` caps the
+    C(n, t1) + C(n, t2) subset hulls of the LP path; the planar halfplane
+    path enumerates none and ignores it.
     """
     if not check_convex_pair_conditions(P.dim, eps):
         e1, e2 = eps.eps
@@ -162,16 +164,17 @@ def construct_convex_pair(
     axis = d - 1
     H = halving_hyperplane(P, axis)
     above = [H.side(p) > 0 for p in P.points]
-    need = comb(n, t1) + comb(n, t2)
-    if need > member_budget:
-        raise BudgetExceededError(
-            f"family of {need} subset hulls exceeds budget {member_budget}",
-            required=need,
-        )
     if d == 2 and t1 >= 3:
         # the halfplane reduction needs full-dimensional member hulls
         p1, p2, sizes = _convex_pair_2d(P, above, t1, t2)
     else:
+        # only the LP path enumerates the subset hulls
+        need = comb(n, t1) + comb(n, t2)
+        if need > member_budget:
+            raise BudgetExceededError(
+                f"family of {need} subset hulls exceeds budget {member_budget}",
+                required=need,
+            )
         p1, p2, sizes = _convex_pair_lp(P, above, t1, t2)
     net = WeightedNet((p1, p2), eps)
     trace = ConstructionTrace(

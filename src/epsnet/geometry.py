@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
@@ -64,14 +64,26 @@ class PointSet:
 
     ``general_position=True`` asserts (and checks, at construction) that no
     d+1 points lie on a common hyperplane and that coordinates are pairwise
-    distinct along every axis.  The check enumerates (d+1)-subsets, so set
-    the flag only on small inputs; operations that need just the per-axis
+    distinct along every axis.  The check takes one integer determinant per
+    (d+1)-subset, O(n^(d+1)) in all; operations that need just the per-axis
     distinctness test it themselves.
+
+    The hash is computed once, on first use: point sets key the module
+    caches of integer coordinates, axis orders and oracle masks, and
+    rehashing every coordinate on each lookup would cost as much as the
+    cached work at large n.
     """
 
     dim: int
     points: tuple[Point, ...]
     general_position: bool = False
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.dim, self.points, self.general_position))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __post_init__(self):
         if self.dim < 1:
@@ -112,8 +124,12 @@ class PointSet:
         d = self.dim
         if self.n < d + 1:
             return
-        for sub in itertools.combinations(self.points, d + 1):
-            if _on_common_hyperplane(sub):
+        _, ipts = integer_coords(self)
+        for idx in itertools.combinations(range(self.n), d + 1):
+            base = ipts[idx[0]]
+            rows = [[ipts[i][j] - base[j] for j in range(d)] for i in idx[1:]]
+            if _det(rows) == 0:
+                sub = tuple(self.points[i] for i in idx)
                 raise DegenerateInputError(
                     f"{d + 1} points on a common hyperplane: {sub}"
                 )
@@ -125,32 +141,30 @@ class PointSet:
         )
 
 
-def _on_common_hyperplane(pts: Sequence[Point]) -> bool:
-    """d+1 points in R^d lie on a hyperplane iff their lifted determinant vanishes."""
-    d = len(pts) - 1
-    mat = [[pts[i][j] - pts[0][j] for j in range(d)] for i in range(1, d + 1)]
-    return _det(mat) == 0
+def _det(mat: list[list[int]]) -> int:
+    """Determinant of an integer matrix by fraction-free (Bareiss) elimination.
 
-
-def _det(mat: list[list[Fraction]]) -> Fraction:
-    """Fraction-free-ish Gaussian elimination determinant."""
+    Each division is exact, so every intermediate entry stays an integer
+    (a minor of the input) and no rational arithmetic is needed.
+    """
     m = [row[:] for row in mat]
     n = len(m)
-    det = _ONE
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-        if piv is None:
-            return _ZERO
-        if piv != c:
+    sign = 1
+    prev = 1
+    for c in range(n - 1):
+        if m[c][c] == 0:
+            piv = next((r for r in range(c + 1, n) if m[r][c] != 0), None)
+            if piv is None:
+                return 0
             m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = _ONE / m[c][c]
+            sign = -sign
+        pc = m[c][c]
         for r in range(c + 1, n):
-            f = m[r][c] * inv
-            if f:
-                m[r] = [m[r][j] - f * m[c][j] for j in range(n)]
-    return det
+            rc = m[r][c]
+            for j in range(c + 1, n):
+                m[r][j] = (m[r][j] * pc - rc * m[c][j]) // prev
+        prev = pc
+    return sign * m[n - 1][n - 1]
 
 
 @dataclass(frozen=True)
@@ -526,6 +540,22 @@ def _integer_scaling(ps: PointSet) -> tuple[int, tuple[tuple[int, ...], ...]]:
 def integer_coords(ps: PointSet) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Public wrapper: (scale, points*scale) with exact integer entries."""
     return _integer_scaling(ps)
+
+
+def common_integer_coords(
+    ps: PointSet, extra: Sequence[Point]
+) -> tuple[tuple[tuple[int, ...], ...], list[tuple[int, ...]]]:
+    """ps's points and the extra points, scaled by one factor to integers.
+
+    The factor is positive, so orientations, lexicographic order and
+    containment are those of the rational originals.
+    """
+    scale, ipts = integer_coords(ps)
+    den = lcm(scale, *(c.denominator for q in extra for c in q))
+    f = den // scale
+    ipts = tuple(tuple(c * f for c in p) for p in ipts)
+    iextra = [tuple(c.numerator * (den // c.denominator) for c in q) for q in extra]
+    return ipts, iextra
 
 
 def centroid(pts: Sequence[Point]) -> Point:

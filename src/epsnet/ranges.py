@@ -26,11 +26,17 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DegenerateInputError, UnsupportedDimensionError
-from .geometry import Point, PointSet, SubsetHull, as_point, frac
+from .geometry import (
+    Point,
+    PointSet,
+    SubsetHull,
+    as_point,
+    common_integer_coords,
+    frac,
+)
 
 _ZERO = Fraction(0)
 
@@ -231,18 +237,6 @@ def _cross3(u, v):
     )
 
 
-def _scaled_ints(P: PointSet, q: Point) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
-    den = 1
-    for p in P.points:
-        for c in p:
-            den = lcm(den, c.denominator)
-    for c in q:
-        den = lcm(den, c.denominator)
-    ipts = [tuple(int(c * den) for c in p) for p in P.points]
-    iq = tuple(int(c * den) for c in q)
-    return ipts, iq
-
-
 @lru_cache(maxsize=8192)
 def _candidate_masks(P: PointSet, q: Point) -> tuple[int, ...]:
     """Bitmasks of maximal point subsets strictly separable from q.
@@ -256,7 +250,7 @@ def _candidate_masks(P: PointSet, q: Point) -> tuple[int, ...]:
     and every mask's hull misses q).
     """
     d = P.dim
-    pts, iq = _scaled_ints(P, q)
+    pts, (iq,) = common_integer_coords(P, (q,))
     n = len(pts)
     masks: set[int] = set()
     if d == 1:

@@ -33,8 +33,8 @@ from .geometry import (
     Point,
     PointSet,
     SubsetHull,
+    common_integer_coords,
     hull2d,
-    integer_coords,
     point_in_convex_polygon,
     point_in_hull,
     polytopes_intersect,
@@ -310,9 +310,8 @@ def verify_weighted_net_convex(
     examined = 0
     fast2d = P.dim == 2
     if fast2d:
-        scale, ipts = integer_coords(P)
+        ipts, inet = common_integer_coords(P, net.points)
         order = sorted(range(n), key=lambda i: ipts[i])
-        inet = [tuple(c * scale for c in q) for q in net.points]
     for level in range(1, k + 1):
         t = prof.min_strict_count(level, n)
         if t > n:
@@ -477,8 +476,7 @@ def adversarial_search(
 
     fast2d = P.dim == 2
     if fast2d:
-        scale, ipts = integer_coords(P)
-        inet = [tuple(c * scale for c in q) for q in net.points]
+        ipts, inet = common_integer_coords(P, net.points)
 
     def net_count_of(idx: Sequence[int]) -> int:
         if fast2d:

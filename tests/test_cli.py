@@ -170,6 +170,23 @@ def test_verify_budget_exceeded(workspace, capsys):
     validate_report(doc)
 
 
+def test_construct_planar_convex_pair_over_subset_budget(workspace, capsys):
+    # C(30, 19) + C(30, 25) subset hulls exceed the default --budget, but
+    # the planar construction enumerates none of them.  (i, i^2 mod 61) has
+    # no three points on a line and distinct coordinates for i < 30.
+    pts = [[i, i * i % 61] for i in range(30)]
+    (workspace / "parabola30.json").write_text(json.dumps({"dim": 2, "points": pts}))
+    code, out = run(
+        capsys,
+        "construct", "--ranges", "convex", "--size", "2",
+        "--eps", "3/5,4/5", "--input", "parabola30.json",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert "budget" not in doc
+    validate_report(doc)
+
+
 def test_adversarial_section(workspace, capsys):
     code, out = run(
         capsys,

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
@@ -19,12 +20,13 @@ from epsnet.constructions import (
     construct_convex_pair,
 )
 from epsnet.errors import (
+    BudgetExceededError,
     ConditionError,
     ConstructionFailureError,
     DegenerateInputError,
 )
 from epsnet.geometry import PointSet
-from epsnet.ranges import EpsilonProfile
+from epsnet.ranges import EpsilonProfile, max_subset_avoiding
 from epsnet.verification import (
     verify_weighted_net_boxes,
     verify_weighted_net_convex,
@@ -333,8 +335,6 @@ def test_convex_pair_small_brute():
     assert brute_verify_convex_2d(P, net) == [True, True]
     assert len(trace.hyperplanes) == 1
     sizes = dict(trace.class_sizes)
-    from math import comb
-
     assert sizes["small_A"] + sizes["small_B"] == comb(10, 7)
     assert sizes["big"] == comb(10, 9)
 
@@ -390,6 +390,36 @@ def test_convex_pair_d3():
     from epsnet.verification import verify_weighted_net
 
     assert verify_weighted_net(P, net, kind="convex").passed
+
+
+def test_convex_pair_planar_ignores_member_budget():
+    # the halfplane path enumerates no subset hulls, so a family far over
+    # the default budget does not stop it
+    rng = random.Random(83)
+    P = random_pointset(rng, 30, 2, lo=-200, hi=200, no_collinear=True)
+    t1, t2 = CONVEX.min_strict_count(1, 30), CONVEX.min_strict_count(2, 30)
+    assert comb(30, t1) + comb(30, t2) > 2_000_000
+    net, _ = construct_convex_pair(P, CONVEX)
+    assert max_subset_avoiding(P, net.points) < t1
+    for q in net.points:
+        assert max_subset_avoiding(P, [q]) < t2
+
+
+def test_convex_pair_lp_path_keeps_member_budget():
+    rng = random.Random(79)
+    eps = EpsilonProfile((F(5, 7), F(6, 7)))
+    while True:
+        P = random_pointset(rng, 7, 3)
+        try:
+            P.check_general_position()
+            break
+        except DegenerateInputError:
+            continue
+    need = comb(7, eps.min_strict_count(1, 7)) + comb(7, eps.min_strict_count(2, 7))
+    with pytest.raises(BudgetExceededError) as exc:
+        construct_convex_pair(P, eps, member_budget=need - 1)
+    assert exc.value.required == need
+    construct_convex_pair(P, eps, member_budget=need)
 
 
 def test_convex_pair_condition_error():

@@ -20,6 +20,7 @@ from epsnet.geometry import (
     as_point,
     centroid,
     clip_polygon_to_hull,
+    common_integer_coords,
     frac,
     halving_hyperplane,
     hull2d,
@@ -69,6 +70,113 @@ def test_pointset_validation():
     ps = P2((0, 0), (3, 1), (1, 2))
     assert ps.n == 3 and len(ps) == 3
     assert ps.bounding_box() == ((F(0), F(3)), (F(0), F(2)))
+
+
+class _CountingFraction(F):
+    """A Fraction that counts how often it is hashed."""
+
+    hashes = 0
+
+    def __hash__(self):
+        type(self).hashes += 1
+        return super().__hash__()
+
+
+def test_pointset_hash_is_cached():
+    from epsnet.ranges import _axis_orders
+
+    pts = tuple((_CountingFraction(i, 7), _CountingFraction(3 * i + 1, 5)) for i in range(9))
+    P = PointSet(2, pts)
+    Q = PointSet(2, tuple((F(i, 7), F(3 * i + 1, 5)) for i in range(9)))
+    assert P == Q and hash(P) == hash(Q)
+    assert hash(P) == hash((P.dim, P.points, P.general_position))
+    before = _CountingFraction.hashes
+    for _ in range(5):
+        hash(P)
+    assert _CountingFraction.hashes == before
+    _axis_orders(P)
+    info = _axis_orders.cache_info()
+    for _ in range(3):
+        assert _axis_orders(Q) == _axis_orders(P)
+    after = _axis_orders.cache_info()
+    assert after.hits == info.hits + 6 and after.misses == info.misses
+    assert _CountingFraction.hashes == before
+
+
+def _reference_general_position_error(d, pts):
+    """The message check_general_position must raise, or None, by rank."""
+    for a in range(d):
+        if len({p[a] for p in pts}) != len(pts):
+            return "duplicate coordinates along some axis"
+    for sub in combinations(pts, d + 1):
+        if affine_rank(sub) < d:
+            return f"{d + 1} points on a common hyperplane: {sub}"
+    return None
+
+
+def test_integer_det_matches_leibniz():
+    from epsnet.geometry import _det
+
+    rng = random.Random(99)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        # many zeros, so pivots are often missing and rows must swap
+        mat = [[rng.choice((0, 0, 1, -2, 3, rng.randint(-10**6, 10**6)))
+                for _ in range(n)] for _ in range(n)]
+        want = 0
+        for perm in permutations(range(n)):
+            inversions = sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
+            term = -1 if inversions % 2 else 1
+            for r, c in enumerate(perm):
+                term *= mat[r][c]
+            want += term
+        assert _det(mat) == want
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_general_position_matches_affine_rank(d):
+    rng = random.Random(100 + d)
+    dens = (1, 2, 3, 5, 7, 12)
+
+    def rational():
+        return F(rng.randint(-40, 40), rng.choice(dens))
+
+    if d == 3:
+        # the first three project onto a line in the xy-plane, so the
+        # elimination meets a zero pivot on a non-singular matrix
+        skewed = [(0, 0, 0), (1, 1, 5), (2, 2, 3), (3, 7, 1)]
+        PointSet(3, tuple(tuple(map(F, p)) for p in skewed), general_position=True)
+    outcomes = set()
+    for trial in range(80):
+        n = rng.randint(d + 1, 8)
+        pts = [tuple(rational() for _ in range(d)) for _ in range(n)]
+        plant = trial % 4
+        if plant == 1:
+            # a point on the line (d=2) or plane (d=3) of d others
+            base = rng.sample(pts, d)
+            w = [F(rng.randint(-3, 4), rng.choice(dens)) for _ in range(d - 1)]
+            q = tuple(
+                base[0][a] + sum(wi * (b[a] - base[0][a]) for wi, b in zip(w, base[1:]))
+                for a in range(d)
+            )
+            pts.insert(rng.randrange(n + 1), q)
+        elif plant == 2:
+            # one coordinate repeated on a random axis
+            i, j = rng.sample(range(n), 2)
+            a = rng.randrange(d)
+            pts[i] = pts[i][:a] + (pts[j][a],) + pts[i][a + 1:]
+        want = _reference_general_position_error(d, pts)
+        outcomes.add(want is None)
+        if want is None:
+            PointSet(d, tuple(pts), general_position=True)
+            continue
+        with pytest.raises(DegenerateInputError) as exc:
+            PointSet(d, tuple(pts), general_position=True)
+        assert str(exc.value) == want
+        with pytest.raises(DegenerateInputError) as exc:
+            PointSet(d, tuple(pts)).check_general_position()
+        assert str(exc.value) == want
+    assert outcomes == {True, False}
 
 
 def test_general_position_flag():
@@ -428,6 +536,11 @@ def test_integer_coords_scaling():
     assert scaled == ((3, 2), (6, 12))
     for p, s in zip(ps.points, scaled):
         assert all(c * scale == sc for c, sc in zip(p, s))
+    # net points with denominators the input scale does not divide
+    extra = [(F(1, 4), F(2, 7)), (F(5), F(-1, 3))]
+    ipts, iextra = common_integer_coords(ps, extra)
+    assert ipts == ((42, 28), (84, 168)) and iextra == [(21, 24), (420, -28)]
+    assert common_integer_coords(ps, []) == (scaled, [])
 
 
 def test_as_point_checks_dim():

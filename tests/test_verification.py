@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -209,6 +210,50 @@ def test_convex_agrees_with_subset_bruteforce():
                 == v.net_count
             )
             assert v.net_count < v.level
+
+
+def test_convex_rational_net_points_agree_with_bruteforce():
+    # input denominators 1-3, net denominators 5, 7 and 11, which the
+    # input's integer scale does not divide; a net point on a hull edge or
+    # equal to an input point counts as inside
+    rng = random.Random(64)
+    seen = set()
+    for trial in range(36):
+        n = rng.randint(5, 9)
+        base = random_pointset(rng, n, 2, lo=-12, hi=12)
+        ps = PointSet(2, tuple(
+            (x / rng.randint(1, 3), y / rng.randint(1, 3)) for x, y in base.points
+        ))
+        a, b = rng.sample(ps.points, 2)
+        j = F(rng.randint(1, 6), 7)
+        on_edge = (a[0] + j * (b[0] - a[0]), a[1] + j * (b[1] - a[1]))
+        free = (F(rng.randint(-60, 60), 11), F(rng.randint(-60, 60), 5))
+        kinds = [on_edge, rng.choice(ps.points), free]
+        k = 1 + trial % 2
+        pts = tuple(kinds[(trial + i) % 3] for i in range(k))
+        cuts = sorted(rng.randint(3, 9) for _ in range(k))
+        net = WeightedNet(pts, EpsilonProfile(tuple(F(c, 10) for c in cuts)))
+        report = verify_weighted_net_convex(ps, net)
+        want = brute_verify_convex_2d(ps, net)
+        assert list(report.verdicts) == want
+        seen.update(want)
+        ts = [net.profile.min_strict_count(i, n) for i in range(1, k + 1)]
+        assert report.ranges_examined == sum(comb(n, t) for t in ts if t <= n)
+        for v in report.violations:
+            inside = sum(1 for q in net.points if point_in_hull(q, v.witness))
+            assert inside == v.net_count < v.level
+        hit = adversarial_search(ps, net, RangeSpaceKind.CONVEX_SETS, 20, seed=trial)
+        if hit is not None:
+            assert not report.verdicts[hit.level - 1]
+    assert seen == {True, False}
+    # the only 4-subset is the whole quadrilateral: a net point on its edge
+    # passes, the same point nudged outward by 1/1000 fails
+    quad = P2(("-1/2", "0"), ("1/2", "0"), ("1/3", "1/3"), ("0", "1/2"))
+    prof = EpsilonProfile((F(3, 4),))
+    edge = (F(1, 2) - F(1, 6) * F(2, 7), F(1, 3) * F(2, 7))
+    assert verify_weighted_net_convex(quad, WeightedNet((edge,), prof)).passed
+    out = (edge[0] + F(1, 1000), edge[1])
+    assert not verify_weighted_net_convex(quad, WeightedNet((out,), prof)).passed
 
 
 def test_convex_1d_and_3d_paths():
