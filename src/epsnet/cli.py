@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import os
 import sys
 import time
 from fractions import Fraction
@@ -44,11 +43,10 @@ from .io_formats import (
     write_text_atomic,
 )
 from .ranges import (
-    BoxRange,
     EpsilonProfile,
     RangeSpaceKind,
     WeightedNet,
-    count_in_box,
+    box_regions_avoiding,
     max_subset_avoiding,
 )
 from .svg import render_svg
@@ -77,17 +75,6 @@ def _parse_eps(text: str) -> EpsilonProfile:
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"cannot parse epsilon list {text!r}") from None
     return EpsilonProfile(values)
-
-
-def _workers() -> int:
-    raw = os.environ.get("EPSNET_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"EPSNET_THREADS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError("EPSNET_THREADS must be at least 1")
-    return value
 
 
 def exit_code_for(report: dict) -> int:
@@ -243,7 +230,7 @@ def cmd_gadget(args, argv) -> int:
     }
     started = time.perf_counter()
     if args.certify:
-        report = certify(instance, workers=_workers())
+        report = certify(instance)
         sections["certification"] = certification_to_json(report)
     if args.svg:
         write_text_atomic(args.svg, render_svg(instance.pointset))
@@ -311,42 +298,16 @@ def _parse_candidates(P: PointSet, kind: RangeSpaceKind, text: str) -> list[Poin
     raise ValueError(f"unknown candidate family {text!r}")
 
 
-def _canonical_boxes_desc(P: PointSet) -> list[tuple[int, BoxRange]]:
-    """Every canonical box with its point count, largest counts first."""
-    per_axis = [sorted({p[a] for p in P.points}) for a in range(P.dim)]
-    boxes = []
-    for corner in itertools.product(*(range(len(c)) for c in per_axis)):
-        for far in itertools.product(
-            *(range(i, len(c)) for i, c in zip(corner, per_axis))
-        ):
-            box = BoxRange(
-                tuple(
-                    (per_axis[a][corner[a]], per_axis[a][far[a]])
-                    for a in range(P.dim)
-                )
-            )
-            boxes.append((count_in_box(P, box), box))
-    boxes.sort(key=lambda item: (-item[0], item[1].intervals))
-    return boxes
-
-
-def _box_worst_count(boxes, net_points, allowed: int) -> int:
-    """Largest canonical-box count with at most ``allowed`` net points."""
-    for count, box in boxes:
-        if box.count_net_points(net_points) <= allowed:
-            return count
-    return 0
-
-
 def _search_boxes(P, candidates, size):
-    boxes = _canonical_boxes_desc(P)
+    def worst(avoid) -> int:
+        return max(len(inside) for inside in box_regions_avoiding(P, avoid))
+
+    singles = {q: worst((q,)) for q in candidates} if size == 2 else {}
     best = None
-    nets = itertools.combinations_with_replacement(candidates, size)
-    for net in nets:
-        c1 = _box_worst_count(boxes, net, 0)
-        key = (c1,)
+    for net in itertools.combinations_with_replacement(candidates, size):
+        key = (worst(net),)
         if size == 2:
-            key = (c1, _box_worst_count(boxes, net, 1))
+            key += (max(singles[q] for q in net),)
         if best is None or key < best[0]:
             best = (key, net)
     return best
@@ -526,7 +487,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _workers()  # fail fast on a bad thread setting
         return args.func(args, argv)
     except (EpsnetError, ValueError, OSError) as exc:
         report = make_report(argv, error=str(exc))

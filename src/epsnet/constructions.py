@@ -49,24 +49,6 @@ HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
-class ConvexRangeClass:
-    """Size class of a convex range and the side family it joins."""
-
-    size: str  # "small" | "big"
-    assignment: str  # "A" | "B" | "both"
-
-    def __post_init__(self):
-        if self.size not in ("small", "big"):
-            raise ValueError(f"bad size class {self.size!r}")
-        if self.assignment not in ("A", "B", "both"):
-            raise ValueError(f"bad assignment {self.assignment!r}")
-        if self.size == "big" and self.assignment != "both":
-            raise ValueError("big ranges join both families")
-        if self.size == "small" and self.assignment == "both":
-            raise ValueError("small ranges join exactly one family")
-
-
-@dataclass(frozen=True)
 class ConstructionTrace:
     """What a constructor did, in replayable detail.
 
@@ -113,12 +95,6 @@ def check_box_triple_conditions(eps: EpsilonProfile) -> bool:
         raise ValueError("need a three-level profile")
     e1, e2, e3 = eps.eps
     return e1 >= Fraction(3, 8) and e2 >= HALF and e1 + e3 >= 1
-
-
-def classify_small_range(above_count: int, below_count: int) -> ConvexRangeClass:
-    """Side family of a small convex range from its halving-split counts."""
-    side = "B" if below_count > above_count else "A"
-    return ConvexRangeClass("small", side)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ statement on a deterministic sample of candidate point pairs.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -254,22 +253,11 @@ def check_claim(instance: GadgetInstance, claim: CertifiedClaim) -> ClaimResult:
     return _CHECKERS[claim.kind](instance, claim)
 
 
-def certify(instance: GadgetInstance, workers: int = 1) -> CertificationReport:
-    """Check every claim of the instance and collect the verdicts.
-
-    Results are merged in claim order whatever the worker count, so reports
-    are byte-identical across ``workers`` settings.
-    """
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    if workers == 1 or len(instance.claims) <= 1:
-        results = tuple(check_claim(instance, c) for c in instance.claims)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = tuple(
-                pool.map(lambda c: check_claim(instance, c), instance.claims)
-            )
-    return CertificationReport(instance.name, results)
+def certify(instance: GadgetInstance) -> CertificationReport:
+    """Check every claim of the instance and collect the verdicts in claim order."""
+    return CertificationReport(
+        instance.name, tuple(check_claim(instance, c) for c in instance.claims)
+    )
 
 
 def threshold_probe_pairs(

@@ -6,7 +6,9 @@ a finite family:
 
 * a box shrinks onto the bounding box of the points it contains, so boxes
   whose facets pass through point coordinates ("canonical boxes") witness
-  every possible violation;
+  every possible violation, and a box misses given points iff it fits in
+  an open region dodging each of them on some axis
+  (``box_regions_avoiding``, the box form of the avoidance oracle below);
 * a convex set containing more than t-1 points contains a t-subset, and its
   hull is a smaller convex set with the same avoidance behaviour, so
   t-subset hulls are the minimal convex ranges.
@@ -190,6 +192,51 @@ def count_in_box(P: PointSet, box: BoxRange) -> int:
         if ok:
             cnt += 1
     return cnt
+
+
+def box_regions_avoiding(P: PointSet, avoid: Sequence[Point]) -> Iterator[list[int]]:
+    """Point indices strictly inside each open region dodging every avoided point.
+
+    A closed box misses all of ``avoid`` iff it fits in one of these
+    regions: pick an axis and a side per avoided point and keep the open
+    halfspace strictly beyond that point.  The largest yielded list is the
+    most points a box missing ``avoid`` can hold, and its points' bounding
+    box is such a box.  One list per (axis, side) assignment, in
+    ``itertools.product`` order over axes ascending with the lower side
+    first; an empty region yields [].  Each region scans only the narrowest
+    axis slab, found by bisection.
+    """
+    orders = _axis_orders(P)
+    d, n, pts = P.dim, P.n, P.points
+    sides = [(a, below) for a in range(d) for below in (True, False)]
+    for assign in itertools.product(sides, repeat=len(avoid)):
+        lo: list[Optional[Fraction]] = [None] * d
+        hi: list[Optional[Fraction]] = [None] * d
+        for q, (a, below) in zip(avoid, assign):
+            v = q[a]
+            if below:
+                if hi[a] is None or v < hi[a]:
+                    hi[a] = v
+            elif lo[a] is None or v > lo[a]:
+                lo[a] = v
+        windows = []
+        for a, (coords, _) in enumerate(orders):
+            i = 0 if lo[a] is None else bisect_right(coords, lo[a])
+            j = n if hi[a] is None else bisect_left(coords, hi[a])
+            windows.append((j - i, a, i, j))
+        _, axis, i, j = min(windows)
+        others = [a for a in range(d) if a != axis]
+        inside = []
+        for idx in orders[axis][1][i:j]:  # an empty region has j <= i
+            p = pts[idx]
+            for a in others:
+                if (lo[a] is not None and p[a] <= lo[a]) or (
+                    hi[a] is not None and p[a] >= hi[a]
+                ):
+                    break
+            else:
+                inside.append(idx)
+        yield inside
 
 
 def enumerate_canonical_boxes(P: PointSet, min_count: int) -> Iterator[BoxRange]:

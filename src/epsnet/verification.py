@@ -10,10 +10,11 @@ Box verdicts come in two exact flavours:
 
 * ``regions`` (default): a box misses >= k-i+1 net points iff it fits in an
   open axis-aligned region strictly dodging each of them on some axis, so
-  checking every (subset, side-assignment) region - at most C(k, k-i+1) *
-  (2d)^(k-i+1) of them, each in O(n) - decides level i.  The witness is
-  the bounding box of the region's points, which dodges the same net
-  points and holds the same count.
+  scanning the regions ``ranges.box_regions_avoiding`` yields for every
+  (k-i+1)-subset of the net - at most C(k, k-i+1) * (2d)^(k-i+1) of them,
+  each in O(n) - decides level i.  The witness is the bounding box of the
+  region's points, which dodges the same net points and holds the same
+  count.
 * ``enumerate``: direct sweep over all canonical boxes; used as an
   independent cross-check at small n.
 """
@@ -44,6 +45,7 @@ from .ranges import (
     EpsilonProfile,
     RangeSpaceKind,
     WeightedNet,
+    box_regions_avoiding,
     count_in_box,
     enumerate_canonical_boxes,
     minimal_convex_ranges,
@@ -99,42 +101,6 @@ def counting_bound(n: int, k: int, l: int, eps: EpsilonProfile) -> Fraction:
 # boxes
 
 
-def _open_region_points(P, orders, bounds):
-    """Indices of points strictly inside a product of open intervals.
-
-    ``bounds[a] = (lo, hi)`` with None for unbounded; scan the narrowest
-    axis slab found by bisection.
-    """
-    from bisect import bisect_left, bisect_right
-
-    n = P.n
-    windows = []
-    for a, (lo, hi) in enumerate(bounds):
-        coords = orders[a][0]
-        i = bisect_right(coords, lo) if lo is not None else 0
-        j = bisect_left(coords, hi) if hi is not None else n
-        if i >= j:
-            return []
-        windows.append((j - i, a, i, j))
-    _, axis, i, j = min(windows)
-    idxs = orders[axis][1][i:j]
-    out = []
-    pts = P.points
-    for idx in idxs:
-        p = pts[idx]
-        ok = True
-        for a, (lo, hi) in enumerate(bounds):
-            if a == axis:
-                continue
-            c = p[a]
-            if (lo is not None and c <= lo) or (hi is not None and c >= hi):
-                ok = False
-                break
-        if ok:
-            out.append(idx)
-    return out
-
-
 def verify_weighted_net_boxes(
     P: PointSet,
     net: WeightedNet,
@@ -155,38 +121,17 @@ def verify_weighted_net_boxes(
         return _verify_boxes_enumerate(P, net, max_violations, start)
     if method != "regions":
         raise ValueError(f"unknown method {method!r}")
-    from .ranges import _axis_orders
-
-    orders = _axis_orders(P)
     verdicts = []
     found: list[Violation] = []
     seen_witnesses = set()
     total = 0
     examined = 0
-    sides = [(a, s) for a in range(d) for s in ("<", ">")]
     for level in range(1, k + 1):
         thr = prof.min_strict_count(level, n)
         level_ok = True
-        for T in itertools.combinations(range(k), k - level + 1):
-            for assign in itertools.product(sides, repeat=len(T)):
+        for T in itertools.combinations(net.points, k - level + 1):
+            for inside in box_regions_avoiding(P, T):
                 examined += 1
-                bounds: list[list[Optional[Fraction]]] = [[None, None] for _ in range(d)]
-                ok = True
-                for t_idx, (a, s) in zip(T, assign):
-                    v = net.points[t_idx][a]
-                    if s == "<":
-                        if bounds[a][1] is None or v < bounds[a][1]:
-                            bounds[a][1] = v
-                    else:
-                        if bounds[a][0] is None or v > bounds[a][0]:
-                            bounds[a][0] = v
-                for lo, hi in bounds:
-                    if lo is not None and hi is not None and lo >= hi:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                inside = _open_region_points(P, orders, [tuple(b) for b in bounds])
                 if len(inside) < thr:
                     continue
                 level_ok = False

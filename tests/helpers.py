@@ -189,6 +189,32 @@ def naive_count_in_box(P, lo, hi):
     return cnt
 
 
+def subset_box_counts(P):
+    """{(lo, hi): |P in box|} over the bounding box of every nonempty subset
+    of P (2^n subsets)."""
+    boxes = {}
+    for r in range(1, P.n + 1):
+        for sub in combinations(P.points, r):
+            lo = tuple(min(p[a] for p in sub) for a in range(P.dim))
+            hi = tuple(max(p[a] for p in sub) for a in range(P.dim))
+            if (lo, hi) not in boxes:
+                boxes[lo, hi] = naive_count_in_box(P, lo, hi)
+    return boxes
+
+
+def brute_max_box_count(boxes, pts, allowed=0):
+    """Largest count among ``subset_box_counts`` boxes holding at most
+    ``allowed`` of pts (a point listed twice counts twice); 0 if none."""
+    best = 0
+    for (lo, hi), cnt in boxes.items():
+        inside = sum(
+            1 for q in pts if all(l <= c <= h for c, l, h in zip(q, lo, hi))
+        )
+        if inside <= allowed:
+            best = max(best, cnt)
+    return best
+
+
 # --- brute-force net verifiers -------------------------------------------------
 
 

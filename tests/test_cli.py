@@ -1,4 +1,4 @@
-"""cli: exit codes, golden reports, determinism across worker counts."""
+"""cli: exit codes, golden reports, determinism across runs."""
 
 import json
 import os
@@ -6,13 +6,16 @@ import shutil
 import subprocess
 import sys
 from fractions import Fraction as F
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 import pytest
 
 import epsnet
 from epsnet.cli import exit_code_for, main
-from epsnet.io_formats import validate_report
+from epsnet.io_formats import json_to_fraction, read_pointset, validate_report
+
+from helpers import brute_max_box_count, subset_box_counts
 
 DATA = Path(__file__).parent / "data"
 
@@ -22,7 +25,6 @@ def workspace(tmp_path, monkeypatch):
     for name in ("points14.json", "points8.json", "net_far.json"):
         shutil.copy(DATA / name, tmp_path / name)
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("EPSNET_THREADS", "1")
     return tmp_path
 
 
@@ -104,11 +106,10 @@ def test_hexagon_svg_golden(workspace, capsys):
 # --- determinism --------------------------------------------------------------
 
 
-def test_reports_identical_across_runs_and_workers(workspace, capsys, monkeypatch):
+def test_reports_identical_across_runs(workspace, capsys):
     argv = ("gadget", "--name", "hexagon3d", "--out", "hex.json", "--certify")
     outputs = []
-    for threads in ("1", "2", "1"):
-        monkeypatch.setenv("EPSNET_THREADS", threads)
+    for _ in range(3):
         code, out = run(capsys, *argv)
         assert code == 0
         outputs.append(out)
@@ -233,16 +234,6 @@ def test_bad_subcommand_flag_exits_2(workspace, capsys):
     assert info.value.code == 2
 
 
-def test_invalid_thread_setting(workspace, capsys, monkeypatch):
-    monkeypatch.setenv("EPSNET_THREADS", "zero")
-    code, out = run(
-        capsys,
-        "gadget", "--name", "hexagon3d", "--out", "hex.json",
-    )
-    assert code == 2
-    assert "EPSNET_THREADS" in json.loads(out)["error"]
-
-
 # --- search behaviour -----------------------------------------------------------
 
 
@@ -258,6 +249,29 @@ def test_search_boxes_size1_at_most_half(workspace, capsys):
     )
     assert code == 0
     assert search_best(out)[0] <= F(1, 2)
+
+
+def test_search_boxes_pair_matches_bruteforce(workspace, capsys):
+    code, out = run(
+        capsys,
+        "search", "--ranges", "boxes", "--size", "2",
+        "--input", "points8.json", "--candidates", "grid:4",
+    )
+    assert code == 0
+    validate_report(json.loads(out))
+    P = read_pointset("points8.json")
+    boxes = subset_box_counts(P)
+
+    def counts(net):
+        return tuple(brute_max_box_count(boxes, net, allowed) for allowed in (0, 1))
+
+    axes = [[lo + (hi - lo) * i / 4 for i in range(5)] for lo, hi in P.bounding_box()]
+    grid = sorted(set(product(*axes)))
+    best = min(counts(net) for net in combinations_with_replacement(grid, 2))
+    assert search_best(out) == [F(c, P.n) for c in best]
+    reported = json.loads(out)["search"]["best"]["points"]
+    net = [tuple(json_to_fraction(c) for c in q) for q in reported]
+    assert counts(net) == best
 
 
 def test_search_grid_refinement_is_monotone(workspace, capsys):

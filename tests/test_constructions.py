@@ -8,12 +8,10 @@ import pytest
 
 from epsnet.constructions import (
     ConstructionTrace,
-    ConvexRangeClass,
     box_median_point,
     check_box_pair_conditions,
     check_box_triple_conditions,
     check_convex_pair_conditions,
-    classify_small_range,
     construct_box_pair_2d,
     construct_box_pair_highd,
     construct_box_triple_2d,
@@ -86,18 +84,6 @@ def test_box_triple_conditions_table():
     assert not check_box_triple_conditions(EpsilonProfile((F(3, 8), F(1, 2), F(3, 5))))
     with pytest.raises(ValueError):
         check_box_triple_conditions(PAIR)
-
-
-def test_range_class_invariants():
-    assert classify_small_range(3, 2) == ConvexRangeClass("small", "A")
-    assert classify_small_range(2, 2) == ConvexRangeClass("small", "A")
-    assert classify_small_range(1, 3) == ConvexRangeClass("small", "B")
-    with pytest.raises(ValueError):
-        ConvexRangeClass("big", "A")
-    with pytest.raises(ValueError):
-        ConvexRangeClass("small", "both")
-    with pytest.raises(ValueError):
-        ConvexRangeClass("huge", "A")
 
 
 # ---------------------------------------------------------------------------

@@ -333,10 +333,6 @@ def test_hexagon_hard_pairs(hexagon):
         assert max_subset_avoiding(P, [v, origin], stop_at=5) >= 5
 
 
-def test_hexagon_workers_agree(hexagon):
-    assert certify(hexagon, workers=1) == certify(hexagon, workers=2)
-
-
 def test_hexagon_probe_pairs_extend(hexagon):
     structured = threshold_probe_pairs(hexagon, 0, 53)
     longer = threshold_probe_pairs(hexagon, len(structured) + 40, 53)

@@ -13,6 +13,7 @@ from epsnet.ranges import (
     EpsilonProfile,
     RangeSpaceKind,
     WeightedNet,
+    box_regions_avoiding,
     count_in_box,
     enumerate_canonical_boxes,
     max_subset_avoiding,
@@ -20,7 +21,13 @@ from epsnet.ranges import (
     minimal_convex_ranges,
 )
 
-from helpers import brute_in_hull, naive_count_in_box, random_pointset
+from helpers import (
+    brute_in_hull,
+    brute_max_box_count,
+    naive_count_in_box,
+    random_pointset,
+    subset_box_counts,
+)
 
 
 def P2(*pts):
@@ -151,6 +158,47 @@ def test_canonical_stream_deterministic():
     a = [b.intervals for b in enumerate_canonical_boxes(ps, 2)]
     b = [b.intervals for b in enumerate_canonical_boxes(ps, 2)]
     assert a == b and len(a) == len(set(a))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_box_regions_avoiding_vs_bruteforce(d):
+    """The largest dodging region holds as many points as the best box over
+    all subset bounding boxes, on inputs with repeated coordinates and
+    duplicate points, avoiding input points, points built from input
+    coordinates, and half-integer points."""
+    rng = random.Random(70 + d)
+    for trial in range(30):
+        n = rng.randint(1, 8)
+        pts = [tuple(F(rng.randint(0, 3)) for _ in range(d)) for _ in range(n)]
+        if n > 2:
+            pts[-1] = pts[0]
+        P = PointSet(d, tuple(pts))
+        boxes = subset_box_counts(P)
+        pool = list(P.points)
+        pool += [tuple(rng.choice(pts)[a] for a in range(d)) for _ in range(4)]
+        pool += [tuple(F(rng.randint(-1, 8), 2) for _ in range(d)) for _ in range(4)]
+        for m in (1, 2, 3):
+            avoid = [rng.choice(pool) for _ in range(m)]
+            regions = list(box_regions_avoiding(P, avoid))
+            assert len(regions) == (2 * d) ** m
+            best = max(len(inside) for inside in regions)
+            assert best == brute_max_box_count(boxes, avoid), (trial, avoid)
+            for inside in regions:
+                if not inside:
+                    continue
+                lo = [min(P.points[i][a] for i in inside) for a in range(d)]
+                hi = [max(P.points[i][a] for i in inside) for a in range(d)]
+                assert naive_count_in_box(P, lo, hi) == len(inside)
+                assert not any(
+                    all(l <= c <= h for c, l, h in zip(q, lo, hi)) for q in avoid
+                )
+
+
+def test_box_regions_avoiding_order():
+    P = P2((0, 0), (2, 1), (1, 3))
+    q = (F(1), F(1))
+    assert list(box_regions_avoiding(P, [q])) == [[0], [1], [0], [2]]
+    assert list(box_regions_avoiding(P, [q, q]))[1] == []  # x < 1 and x > 1
 
 
 # --- minimal convex ranges -----------------------------------------------------
