@@ -36,13 +36,11 @@ from .ranges import (
 )
 from .constructions import (
     box_median_point,
-    construct_box_pair_2d,
     construct_box_pair_highd,
     construct_box_triple_2d,
     construct_convex_pair,
 )
 from .verification import (
-    adversarial_search,
     counting_bound,
     pierceable_by_two,
     verify_weighted_net,
@@ -81,10 +79,8 @@ __all__ = [
     "SubsetHull",
     "UnsupportedDimensionError",
     "WeightedNet",
-    "adversarial_search",
     "box_median_point",
     "certify",
-    "construct_box_pair_2d",
     "construct_box_pair_highd",
     "construct_box_triple_2d",
     "construct_convex_pair",

@@ -19,7 +19,6 @@ from typing import Optional, Sequence
 
 from .constructions import (
     box_median_point,
-    construct_box_pair_2d,
     construct_box_pair_highd,
     construct_box_triple_2d,
     construct_convex_pair,
@@ -37,7 +36,6 @@ from .io_formats import (
     point_to_json,
     read_pointset,
     verification_to_json,
-    violation_to_json,
     write_json_atomic,
     write_pointset,
     write_text_atomic,
@@ -50,7 +48,7 @@ from .ranges import (
     max_subset_avoiding,
 )
 from .svg import render_svg
-from .verification import adversarial_search, verify_weighted_net
+from .verification import verify_weighted_net
 
 DEFAULT_SEARCH_BUDGET = 500_000
 SEARCH_MAX_N = {RangeSpaceKind.CONVEX_SETS: 12, RangeSpaceKind.AXIS_PARALLEL_BOXES: 20}
@@ -115,8 +113,7 @@ def _run_construction(P: PointSet, kind: RangeSpaceKind, size: int, args):
                 net = WeightedNet(net.points, eps)
             return net, "axis-median"
         if size == 2:
-            build = construct_box_pair_2d if P.dim == 2 else construct_box_pair_highd
-            net, trace = build(P, eps)
+            net, trace = construct_box_pair_highd(P, eps)
             return net, trace.method
         net, trace = construct_box_triple_2d(P, eps)
         return net, trace.method
@@ -179,14 +176,6 @@ def cmd_verify(args, argv) -> int:
         kwargs = {"budget": args.budget} if kind is RangeSpaceKind.CONVEX_SETS else {}
         rep = verify_weighted_net(P, net, kind, **kwargs)
         sections["verification"] = verification_to_json(rep, timing=args.timing)
-        if args.adversarial:
-            trials, seed = args.adversarial
-            hit = adversarial_search(P, net, kind, trials, seed)
-            sections["adversarial"] = {
-                "trials": trials,
-                "seed": seed,
-                "violation": None if hit is None else violation_to_json(hit),
-            }
     except BudgetExceededError as exc:
         sections["budget"] = _budget_section(exc)
     if args.timing:
@@ -298,46 +287,41 @@ def _parse_candidates(P: PointSet, kind: RangeSpaceKind, text: str) -> list[Poin
     raise ValueError(f"unknown candidate family {text!r}")
 
 
-def _search_boxes(P, candidates, size):
-    def worst(avoid) -> int:
-        return max(len(inside) for inside in box_regions_avoiding(P, avoid))
-
-    singles = {q: worst((q,)) for q in candidates} if size == 2 else {}
-    best = None
-    for net in itertools.combinations_with_replacement(candidates, size):
-        key = (worst(net),)
-        if size == 2:
-            key += (max(singles[q] for q in net),)
-        if best is None or key < best[0]:
-            best = (key, net)
+def _largest_box_avoiding(P, avoid, stop_at=None) -> int:
+    """Most points a box missing ``avoid`` holds; stops once >= stop_at."""
+    best = 0
+    for inside in box_regions_avoiding(P, avoid):
+        best = max(best, len(inside))
+        if stop_at is not None and best >= stop_at:
+            break
     return best
 
 
-def _search_convex(P, candidates, size):
+def _search(P, candidates, size, largest):
+    """Lexicographically smallest (largest range missing the whole net,
+    largest range missing some net point) over candidate nets.
+
+    ``largest(P, avoid, stop_at)`` is the range kind's exact avoidance
+    primitive.  Each net's query stops at ``cap``, the smallest first
+    count that can no longer win; for pairs a tie still can, on the
+    second count.
+    """
     best = None  # ((counts...), net)
     singles: dict[Point, int] = {}
 
     def single(q: Point) -> int:
         if q not in singles:
-            singles[q] = max_subset_avoiding(P, [q])
+            singles[q] = largest(P, (q,))
         return singles[q]
 
-    if size == 1:
-        for q in candidates:
-            cap = P.n + 1 if best is None else best[0][0]
-            r = max_subset_avoiding(P, [q], stop_at=cap)
-            if best is None or r < best[0][0]:
-                best = ((r,), (q,))
-        return best
-    for q1, q2 in itertools.combinations_with_replacement(candidates, 2):
-        cap = P.n + 1 if best is None else best[0][0] + 1
-        r1 = max_subset_avoiding(P, [q1, q2], stop_at=cap)
-        if r1 >= cap:
+    for net in itertools.combinations_with_replacement(candidates, size):
+        cap = P.n + 1 if best is None else best[0][0] + (1 if size > 1 else 0)
+        first = largest(P, net, cap)
+        if first >= cap:
             continue
-        c2 = single(q1) if q1 == q2 else max(single(q1), single(q2))
-        key = (r1, c2)
+        key = (first,) if size == 1 else (first, max(map(single, net)))
         if best is None or key < best[0]:
-            best = (key, (q1, q2))
+            best = (key, net)
     return best
 
 
@@ -367,12 +351,12 @@ def cmd_search(args, argv) -> int:
             f" budget {args.budget}; shrink the candidate family",
         }
     else:
-        searcher = (
-            _search_boxes
+        largest = (
+            _largest_box_avoiding
             if kind is RangeSpaceKind.AXIS_PARALLEL_BOXES
-            else _search_convex
+            else max_subset_avoiding
         )
-        counts, net = searcher(P, candidates, args.size)
+        counts, net = _search(P, candidates, args.size, largest)
         reference = CONSTRUCTION_EPS1.get((kind, args.size))
         sections["search"] = {
             "ranges": kind.value,
@@ -400,16 +384,6 @@ def cmd_search(args, argv) -> int:
 
 # ---------------------------------------------------------------------------
 # argument parsing
-
-
-def _parse_adversarial(text: str) -> tuple[int, int]:
-    try:
-        trials_text, seed_text = text.split(",")
-        return int(trials_text), int(seed_text)
-    except ValueError:
-        raise ValueError(
-            f"--adversarial takes 'trials,seed', got {text!r}"
-        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -442,11 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--eps", required=True)
     ver.add_argument("--ranges", required=True, choices=["convex", "boxes"])
     ver.add_argument("--budget", type=int, default=5_000_000)
-    ver.add_argument(
-        "--adversarial",
-        type=_parse_adversarial,
-        help="'trials,seed': sampled falsifier run appended to the report",
-    )
     ver.set_defaults(func=cmd_verify)
 
     gad = sub.add_parser("gadget", help="write and certify a gadget point set")

@@ -305,15 +305,6 @@ def _axis_cut(coords_sorted: list[Fraction], kill_max: int, surv_max: int):
     return None
 
 
-def construct_box_pair_2d(
-    P: PointSet, eps: EpsilonProfile
-) -> tuple[WeightedNet, ConstructionTrace]:
-    """Planar two-point box net via one horizontal and one vertical cut."""
-    if P.dim != 2:
-        raise DegenerateInputError("construct_box_pair_2d needs d = 2")
-    return construct_box_pair_highd(P, eps)
-
-
 def construct_box_pair_highd(
     P: PointSet, eps: EpsilonProfile
 ) -> tuple[WeightedNet, ConstructionTrace]:

@@ -525,8 +525,8 @@ def clip_polygon_to_hull(poly: list[tuple], hull: Sequence[tuple]) -> list[tuple
 
 
 @lru_cache(maxsize=32)
-def _integer_scaling(ps: PointSet) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Scale factor and scaled coordinates making all coordinates integers."""
+def integer_coords(ps: PointSet) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(scale, points*scale): the least scale making all coordinates integers."""
     denom = 1
     for p in ps.points:
         for c in p:
@@ -535,11 +535,6 @@ def _integer_scaling(ps: PointSet) -> tuple[int, tuple[tuple[int, ...], ...]]:
         tuple(int(c * denom) for c in p) for p in ps.points
     )
     return denom, scaled
-
-
-def integer_coords(ps: PointSet) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Public wrapper: (scale, points*scale) with exact integer entries."""
-    return _integer_scaling(ps)
 
 
 def common_integer_coords(

@@ -239,27 +239,6 @@ def box_regions_avoiding(P: PointSet, avoid: Sequence[Point]) -> Iterator[list[i
         yield inside
 
 
-def enumerate_canonical_boxes(P: PointSet, min_count: int) -> Iterator[BoxRange]:
-    """All boxes with facets on point coordinates holding >= min_count points.
-
-    Deterministic order: lexicographic in the per-axis (lo index, hi index)
-    tuples over ascending sorted coordinates.
-    """
-    P.require_distinct_coords()
-    orders = _axis_orders(P)
-    n = P.n
-    pairs_per_axis = [
-        [(i, j) for i in range(n) for j in range(i, n)] for _ in range(P.dim)
-    ]
-    for choice in itertools.product(*pairs_per_axis):
-        intervals = tuple(
-            (orders[a][0][i], orders[a][0][j]) for a, (i, j) in enumerate(choice)
-        )
-        box = BoxRange(intervals)
-        if count_in_box(P, box) >= min_count:
-            yield box
-
-
 def minimal_convex_ranges(P: PointSet, t: int) -> Iterator[SubsetHull]:
     """All t-subset hulls, lexicographically by index tuple."""
     if not 1 <= t <= P.n:

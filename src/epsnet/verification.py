@@ -6,17 +6,13 @@ points.  Thresholds are strict; a range with exactly eps_i * n points does
 not trigger level i.  Net-point containment is closed: a net point on a
 range boundary counts.
 
-Box verdicts come in two exact flavours:
-
-* ``regions`` (default): a box misses >= k-i+1 net points iff it fits in an
-  open axis-aligned region strictly dodging each of them on some axis, so
-  scanning the regions ``ranges.box_regions_avoiding`` yields for every
-  (k-i+1)-subset of the net - at most C(k, k-i+1) * (2d)^(k-i+1) of them,
-  each in O(n) - decides level i.  The witness is the bounding box of the
-  region's points, which dodges the same net points and holds the same
-  count.
-* ``enumerate``: direct sweep over all canonical boxes; used as an
-  independent cross-check at small n.
+Box verdicts are exact: a box misses >= k-i+1 net points iff it fits in
+an open axis-aligned region strictly dodging each of them on some axis, so
+scanning the regions ``ranges.box_regions_avoiding`` yields for every
+(k-i+1)-subset of the net - at most C(k, k-i+1) * (2d)^(k-i+1) of them,
+each in O(n) - decides level i.  The witness is the bounding box of the
+region's points, which dodges the same net points and holds the same
+count.  Repeated coordinates and duplicate points need no special case.
 """
 
 from __future__ import annotations
@@ -47,7 +43,6 @@ from .ranges import (
     WeightedNet,
     box_regions_avoiding,
     count_in_box,
-    enumerate_canonical_boxes,
     minimal_convex_ranges,
 )
 
@@ -105,22 +100,15 @@ def verify_weighted_net_boxes(
     P: PointSet,
     net: WeightedNet,
     max_violations: int = 16,
-    method: str = "regions",
 ) -> VerificationReport:
     """Exact box-range verification of a weighted net.
 
     Level verdicts are independent; listed violations are deduplicated by
-    witness and attributed to the lowest violated level.  ``regions`` and
-    ``enumerate`` always agree on verdicts (the witnesses may differ).
+    witness and attributed to the lowest violated level.
     """
     start = time.perf_counter()
-    P.require_distinct_coords()
     d, n, k = P.dim, P.n, net.k
     prof = net.profile
-    if method == "enumerate":
-        return _verify_boxes_enumerate(P, net, max_violations, start)
-    if method != "regions":
-        raise ValueError(f"unknown method {method!r}")
     verdicts = []
     found: list[Violation] = []
     seen_witnesses = set()
@@ -154,42 +142,6 @@ def verify_weighted_net_boxes(
                     raise RuntimeError("region witness failed its recheck")
                 found.append(Violation(level, box, net_inside, pcount))
         verdicts.append(level_ok)
-    return VerificationReport(
-        RangeSpaceKind.AXIS_PARALLEL_BOXES,
-        n,
-        prof,
-        tuple(verdicts),
-        tuple(found),
-        total,
-        examined,
-        time.perf_counter() - start,
-    )
-
-
-def _verify_boxes_enumerate(P, net, max_violations, start):
-    n, k = P.n, net.k
-    prof = net.profile
-    thresholds = [prof.min_strict_count(i, n) for i in range(1, k + 1)]
-    verdicts = [True] * k
-    found: list[Violation] = []
-    seen = set()
-    total = 0
-    examined = 0
-    for box in enumerate_canonical_boxes(P, min(thresholds)):
-        examined += 1
-        cnt = count_in_box(P, box)
-        net_inside = box.count_net_points(net.points)
-        lowest = None
-        for i in range(1, k + 1):
-            if cnt >= thresholds[i - 1] and net_inside < i:
-                verdicts[i - 1] = False
-                if lowest is None:
-                    lowest = i
-        if lowest is not None:
-            total += 1
-            if len(found) < max_violations and box.intervals not in seen:
-                seen.add(box.intervals)
-                found.append(Violation(lowest, box, net_inside, cnt))
     return VerificationReport(
         RangeSpaceKind.AXIS_PARALLEL_BOXES,
         n,
@@ -369,94 +321,4 @@ def pierceable_by_two(
         if wb is None:
             continue
         return (wa, wb)
-    return None
-
-
-# ---------------------------------------------------------------------------
-# randomized falsifier
-
-
-def adversarial_search(
-    P: PointSet,
-    net: WeightedNet,
-    kind: RangeSpaceKind,
-    trials: int,
-    seed: int,
-) -> Optional[Violation]:
-    """Seeded random search for a violating range; sound but incomplete.
-
-    Box trials sample canonical boxes; convex trials grow a subset greedily
-    through the points farthest from the net.  Every candidate is re-checked
-    exactly before being returned, so a non-None result is always a real
-    violation.
-    """
-    import random
-
-    rng = random.Random(seed)
-    n, k = P.n, net.k
-    prof = net.profile
-    if kind is RangeSpaceKind.AXIS_PARALLEL_BOXES:
-        from .ranges import _axis_orders
-
-        orders = _axis_orders(P)
-        for _ in range(trials):
-            intervals = []
-            for a in range(P.dim):
-                coords = orders[a][0]
-                i = rng.randrange(n)
-                j = rng.randrange(n)
-                if i > j:
-                    i, j = j, i
-                intervals.append((coords[i], coords[j]))
-            box = BoxRange(tuple(intervals))
-            cnt = count_in_box(P, box)
-            net_inside = box.count_net_points(net.points)
-            for level in range(1, k + 1):
-                if cnt >= prof.min_strict_count(level, n) and net_inside < level:
-                    return Violation(level, box, net_inside, cnt)
-        return None
-    # convex: greedy growth away from the net points
-    def dist2(p, q):
-        return sum((a - b) ** 2 for a, b in zip(p, q))
-
-    fast2d = P.dim == 2
-    if fast2d:
-        ipts, inet = common_integer_coords(P, net.points)
-
-    def net_count_of(idx: Sequence[int]) -> int:
-        if fast2d:
-            hull = hull2d(sorted(ipts[i] for i in idx))
-            return sum(1 for q in inet if point_in_convex_polygon(q, hull) >= 0)
-        hull = SubsetHull(P, tuple(sorted(idx)))
-        return sum(1 for q in net.points if point_in_hull(q, hull))
-
-    for _ in range(trials):
-        level = rng.randint(1, k)
-        t = prof.min_strict_count(level, n)
-        if t > n:
-            continue
-        # order points by distance to the nearest net point, noisy
-        scored = sorted(
-            range(n),
-            key=lambda i: (
-                -min(dist2(P.points[i], q) for q in net.points)
-                * Fraction(rng.randint(64, 128), 96),
-                i,
-            ),
-        )
-        chosen: list[int] = []
-        for i in scored:
-            if net_count_of(chosen + [i]) < level:
-                chosen.append(i)
-                if len(chosen) == t:
-                    break
-        if len(chosen) < t:
-            continue
-        witness = SubsetHull(P, tuple(sorted(chosen)))
-        inside = sum(1 for q in net.points if point_in_hull(q, witness))
-        if inside >= level:  # pragma: no cover - greedy keeps the invariant
-            continue
-        pcount = sum(1 for p in P.points if point_in_hull(p, witness))
-        if pcount >= prof.min_strict_count(level, n):
-            return Violation(level, witness, inside, pcount)
     return None

@@ -157,7 +157,15 @@ def _normal_of(cand, d):
     return None
 
 
-# --- random instances --------------------------------------------------------
+# --- instances ---------------------------------------------------------------
+
+
+# eleven planar points with three duplicate points and repeated coordinates
+# on both axes
+REPEATED_11 = [
+    [4, 2], [1, 0], [1, 0], [4, 2], [2, 2], [3, 1], [3, 1], [1, 3], [3, 2],
+    [1, 1], [4, 3],
+]
 
 
 def random_pointset(rng: random.Random, n, d, lo=-50, hi=50, distinct=True,
@@ -169,9 +177,12 @@ def random_pointset(rng: random.Random, n, d, lo=-50, hi=50, distinct=True,
             cols = [rng.sample(range(lo, hi + 1), n) for _ in range(d)]
             pts = [tuple(F(cols[a][i]) for a in range(d)) for i in range(n)]
         else:
-            pts = [tuple(F(rng.randint(lo, hi)) for _ in range(d)) for _ in range(n)]
-            if len(set(pts)) != n:
-                continue
+            # n distinct cells of the grid, each cell index read in base m
+            m = hi - lo + 1
+            pts = [
+                tuple(F(lo + cell // m**a % m) for a in range(d))
+                for cell in rng.sample(range(m**d), n)
+            ]
         ps = PointSet(d, tuple(pts))
         if no_collinear:
             try:
@@ -202,15 +213,12 @@ def subset_box_counts(P):
     return boxes
 
 
-def brute_max_box_count(boxes, pts, allowed=0):
-    """Largest count among ``subset_box_counts`` boxes holding at most
-    ``allowed`` of pts (a point listed twice counts twice); 0 if none."""
+def brute_max_box_count(boxes, pts):
+    """Largest count among ``subset_box_counts`` boxes holding none of pts;
+    0 if none."""
     best = 0
     for (lo, hi), cnt in boxes.items():
-        inside = sum(
-            1 for q in pts if all(l <= c <= h for c, l, h in zip(q, lo, hi))
-        )
-        if inside <= allowed:
+        if not any(all(l <= c <= h for c, l, h in zip(q, lo, hi)) for q in pts):
             best = max(best, cnt)
     return best
 

@@ -19,7 +19,7 @@ import pytest
 from epsnet.cli import main
 from epsnet.constructions import (
     box_median_point,
-    construct_box_pair_2d,
+    construct_box_pair_highd,
     construct_box_triple_2d,
     construct_convex_pair,
 )
@@ -53,7 +53,7 @@ def test_criterion_01_box_pairs_verify_on_100_random_sets():
     started = time.perf_counter()
     for i, n in enumerate(sizes):
         P = random_pointset(Random(1000 + i), n, 2)
-        net, _ = construct_box_pair_2d(P, eps)
+        net, _ = construct_box_pair_highd(P, eps)
         report = verify_weighted_net_boxes(P, net)
         assert report.passed, f"set {i} (n={n}): {report.violations[:1]}"
     assert time.perf_counter() - started < 60

@@ -6,16 +6,29 @@ import shutil
 import subprocess
 import sys
 from fractions import Fraction as F
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 from pathlib import Path
 
 import pytest
 
 import epsnet
 from epsnet.cli import exit_code_for, main
-from epsnet.io_formats import json_to_fraction, read_pointset, validate_report
+from epsnet.geometry import PointSet, hull2d, integer_coords, point_in_convex_polygon
+from epsnet.io_formats import (
+    json_to_fraction,
+    read_pointset,
+    validate_report,
+    write_pointset,
+)
+from epsnet.ranges import EpsilonProfile, WeightedNet
 
-from helpers import brute_max_box_count, subset_box_counts
+from helpers import (
+    REPEATED_11,
+    brute_max_box_count,
+    brute_max_subset_avoiding_2d,
+    brute_verify_boxes,
+    subset_box_counts,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -188,17 +201,31 @@ def test_construct_planar_convex_pair_over_subset_budget(workspace, capsys):
     validate_report(doc)
 
 
-def test_adversarial_section(workspace, capsys):
-    code, out = run(
-        capsys,
-        "verify", "--input", "points14.json", "--net", "net_far.json",
-        "--eps", "1/2", "--ranges", "boxes", "--adversarial", "60,9",
-    )
-    assert code == 3
-    doc = json.loads(out)
-    assert doc["adversarial"]["trials"] == 60
-    assert doc["adversarial"]["violation"] is not None
-    validate_report(doc)
+def test_verify_boxes_accepts_repeated_coordinates(workspace, capsys):
+    P = PointSet(2, tuple((F(x), F(y)) for x, y in REPEATED_11))
+    write_pointset("repeated.json", P)
+    nets = [
+        ([[3, 2]], "1/2"),
+        ([[5, 5]], "1/2"),
+        ([[3, 1], [1, 0]], "3/7,4/7"),
+        ([[1, 0], [4, 2], [2, 2]], "1/4,1/2,3/4"),
+    ]
+    codes = set()
+    for points, eps in nets:
+        write_pointset("net.json", PointSet(2, tuple(tuple(map(F, q)) for q in points)))
+        code, out = run(
+            capsys,
+            "verify", "--input", "repeated.json", "--net", "net.json",
+            "--eps", eps, "--ranges", "boxes",
+        )
+        assert code in (0, 3), out
+        doc = json.loads(out)
+        validate_report(doc)
+        profile = EpsilonProfile(tuple(F(e) for e in eps.split(",")))
+        net = WeightedNet(read_pointset("net.json").points, profile)
+        assert doc["verification"]["verdicts"] == brute_verify_boxes(P, net)
+        codes.add(code)
+    assert codes == {0, 3}
 
 
 def test_missing_input_file(workspace, capsys):
@@ -251,27 +278,91 @@ def test_search_boxes_size1_at_most_half(workspace, capsys):
     assert search_best(out)[0] <= F(1, 2)
 
 
-def test_search_boxes_pair_matches_bruteforce(workspace, capsys):
+def brute_largest_avoiding(P, kind, candidates):
+    """largest(avoid) over the ranges spanned by subsets of P: their
+    bounding boxes (with every point inside counted) or their hulls."""
+    ranges = []  # (points inside, contains)
+    if kind == "boxes":
+        for (lo, hi), cnt in subset_box_counts(P).items():
+            ranges.append((cnt, lambda q, lo=lo, hi=hi: all(
+                l <= c <= h for c, l, h in zip(q, lo, hi)
+            )))
+    else:
+        scale, ipts = integer_coords(P)
+        for mask in range(1, 1 << P.n):
+            hull = hull2d(sorted(ipts[i] for i in range(P.n) if mask >> i & 1))
+            ranges.append((mask.bit_count(), lambda q, hull=hull: (
+                point_in_convex_polygon(tuple(c * scale for c in q), hull) >= 0
+            )))
+    ranges.sort(key=lambda r: -r[0])
+    hits = {
+        q: sum(1 << j for j, (_, contains) in enumerate(ranges) if contains(q))
+        for q in candidates
+    }
+    full = (1 << len(ranges)) - 1
+
+    def largest(avoid):
+        free = full
+        for q in avoid:
+            free &= ~hits[q]
+        return ranges[(free & -free).bit_length() - 1][0] if free else 0
+
+    return largest
+
+
+def brute_candidates(P, family):
+    if family.startswith("grid:"):
+        r = int(family[5:])
+        axes = [[lo + (hi - lo) * i / r for i in range(r + 1)] for lo, hi in P.bounding_box()]
+        return sorted(set(product(*axes)))
+    # input points and the crossings of lines through two input points
+    out = set(P.points)
+    for (a, b), (c, d) in combinations(combinations(P.points, 2), 2):
+        u = (b[0] - a[0], b[1] - a[1])
+        v = (d[0] - c[0], d[1] - c[1])
+        det = u[0] * v[1] - u[1] * v[0]
+        if det != 0:
+            t = ((c[0] - a[0]) * v[1] - (c[1] - a[1]) * v[0]) / det
+            out.add((a[0] + t * u[0], a[1] + t * u[1]))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("size", [1, 2])
+@pytest.mark.parametrize(
+    "kind,family", [("boxes", "grid:4"), ("convex", "arrangement")]
+)
+def test_search_matches_bruteforce(workspace, capsys, kind, family, size):
     code, out = run(
         capsys,
-        "search", "--ranges", "boxes", "--size", "2",
-        "--input", "points8.json", "--candidates", "grid:4",
+        "search", "--ranges", kind, "--size", str(size),
+        "--input", "points8.json", "--candidates", family,
     )
     assert code == 0
     validate_report(json.loads(out))
     P = read_pointset("points8.json")
-    boxes = subset_box_counts(P)
+    candidates = brute_candidates(P, family)
+    assert json.loads(out)["search"]["candidates"] == len(candidates)
+    largest = brute_largest_avoiding(P, kind, candidates)
 
     def counts(net):
-        return tuple(brute_max_box_count(boxes, net, allowed) for allowed in (0, 1))
+        if len(net) == 1:
+            return (largest(net),)
+        return (largest(net), max(largest((q,)) for q in net))
 
-    axes = [[lo + (hi - lo) * i / 4 for i in range(5)] for lo, hi in P.bounding_box()]
-    grid = sorted(set(product(*axes)))
-    best = min(counts(net) for net in combinations_with_replacement(grid, 2))
+    best = min(
+        counts(net) for net in combinations_with_replacement(candidates, size)
+    )
     assert search_best(out) == [F(c, P.n) for c in best]
     reported = json.loads(out)["search"]["best"]["points"]
     net = [tuple(json_to_fraction(c) for c in q) for q in reported]
     assert counts(net) == best
+    # the table agrees with the subset-by-subset oracles on the reported net
+    boxes = subset_box_counts(P) if kind == "boxes" else None
+    for avoid in [net] + [[q] for q in net]:
+        if kind == "boxes":
+            assert largest(avoid) == brute_max_box_count(boxes, avoid)
+        else:
+            assert largest(avoid) == brute_max_subset_avoiding_2d(P, avoid)
 
 
 def test_search_grid_refinement_is_monotone(workspace, capsys):

@@ -12,7 +12,6 @@ from epsnet.constructions import (
     check_box_pair_conditions,
     check_box_triple_conditions,
     check_convex_pair_conditions,
-    construct_box_pair_2d,
     construct_box_pair_highd,
     construct_box_triple_2d,
     construct_convex_pair,
@@ -122,7 +121,7 @@ def test_box_pair_small_brute():
     rng = random.Random(11)
     for _ in range(4):
         P = random_pointset(rng, 14, 2)
-        net, trace = construct_box_pair_2d(P, PAIR)
+        net, trace = construct_box_pair_highd(P, PAIR)
         assert net.k == 2
         assert all(brute_verify_boxes(P, net))
         assert trace.method == "box-pair"
@@ -132,7 +131,7 @@ def test_box_pair_small_brute():
 def test_box_pair_seven_points():
     rng = random.Random(23)
     P = random_pointset(rng, 7, 2)
-    net, _ = construct_box_pair_2d(P, PAIR)
+    net, _ = construct_box_pair_highd(P, PAIR)
     assert all(brute_verify_boxes(P, net))
 
 
@@ -140,7 +139,7 @@ def test_box_pair_multiples_of_seven_always_succeed():
     rng = random.Random(5)
     for n in (14, 21, 35, 49, 70, 98):
         P = random_pointset(rng, n, 2, lo=-200, hi=200)
-        net, _ = construct_box_pair_2d(P, PAIR)
+        net, _ = construct_box_pair_highd(P, PAIR)
         assert verify_weighted_net_boxes(P, net).passed
 
 
@@ -150,7 +149,7 @@ def test_box_pair_other_sizes_verified_or_reported():
     for n in range(7, 30):
         P = random_pointset(rng, n, 2)
         try:
-            net, _ = construct_box_pair_2d(P, PAIR)
+            net, _ = construct_box_pair_highd(P, PAIR)
         except ConstructionFailureError:
             assert n % 7 != 0
             continue
@@ -164,7 +163,7 @@ def test_box_pair_generous_profile():
     eps = EpsilonProfile((F(1, 2), F(5, 8)))
     for n in (9, 16, 25, 40, 100):
         P = random_pointset(rng, n, 2, lo=-300, hi=300)
-        net, _ = construct_box_pair_2d(P, eps)
+        net, _ = construct_box_pair_highd(P, eps)
         assert verify_weighted_net_boxes(P, net).passed
 
 
@@ -204,21 +203,14 @@ def test_box_pair_condition_error():
     rng = random.Random(1)
     P = random_pointset(rng, 14, 2)
     with pytest.raises(ConditionError):
-        construct_box_pair_2d(P, EpsilonProfile((F(2, 5), F(3, 5))))
-
-
-def test_box_pair_needs_2d():
-    rng = random.Random(1)
-    P = random_pointset(rng, 14, 3)
-    with pytest.raises(DegenerateInputError):
-        construct_box_pair_2d(P, PAIR)
+        construct_box_pair_highd(P, EpsilonProfile((F(2, 5), F(3, 5))))
 
 
 def test_box_pair_duplicate_coordinate_rejected():
     P = PointSet(2, tuple((F(x), F(y)) for x, y in
                           [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (5, 6)]))
     with pytest.raises(DegenerateInputError):
-        construct_box_pair_2d(P, PAIR)
+        construct_box_pair_highd(P, PAIR)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +415,7 @@ def test_determinism_and_replayable_traces():
     rng = random.Random(83)
     P = random_pointset(rng, 16, 2)
     for build in (
-        lambda Q: construct_box_pair_2d(Q, PAIR),
+        lambda Q: construct_box_pair_highd(Q, PAIR),
         lambda Q: construct_box_triple_2d(Q, TRIPLE),
     ):
         try:
@@ -442,8 +434,8 @@ def test_equivariance_under_positive_affine_maps():
     scales = (F(3), F(2))
     shifts = (F(7), F(-5))
     P = random_pointset(rng, 14, 2)
-    netp, _ = construct_box_pair_2d(P, PAIR)
-    netp2, _ = construct_box_pair_2d(affine_map(P, scales, shifts), PAIR)
+    netp, _ = construct_box_pair_highd(P, PAIR)
+    netp2, _ = construct_box_pair_highd(affine_map(P, scales, shifts), PAIR)
     assert netp2.points == tuple(map_point(q, scales, shifts) for q in netp.points)
 
     Pt = random_pointset(rng, 16, 2)
@@ -465,7 +457,7 @@ def test_equivariance_under_positive_affine_maps():
 def test_net_points_inside_bounding_box():
     rng = random.Random(97)
     for n, builder, eps in (
-        (14, construct_box_pair_2d, PAIR),
+        (14, construct_box_pair_highd, PAIR),
         (16, construct_box_triple_2d, TRIPLE),
     ):
         P = random_pointset(rng, n, 2)

@@ -1,12 +1,11 @@
-"""ranges: counting, canonical enumerations, avoidance oracle."""
+"""ranges: counting, box regions, minimal convex ranges, avoidance oracle."""
 
 import random
 from fractions import Fraction as F
-from itertools import combinations
 
 import pytest
 
-from epsnet.errors import DegenerateInputError, UnsupportedDimensionError
+from epsnet.errors import UnsupportedDimensionError
 from epsnet.geometry import PointSet, SubsetHull, point_in_hull
 from epsnet.ranges import (
     BoxRange,
@@ -15,7 +14,6 @@ from epsnet.ranges import (
     WeightedNet,
     box_regions_avoiding,
     count_in_box,
-    enumerate_canonical_boxes,
     max_subset_avoiding,
     max_subset_avoiding_witness,
     minimal_convex_ranges,
@@ -103,61 +101,6 @@ def test_count_matches_naive(d):
         hi = [l + rng.randint(0, 12) for l in lo]
         box = BoxRange(tuple(zip(lo, hi)))
         assert count_in_box(ps, box) == naive_count_in_box(ps, lo, hi)
-
-
-# --- canonical boxes ----------------------------------------------------------
-
-
-def test_canonical_includes_bounding_box():
-    ps = P2((0, 0), (2, 3), (5, 1))
-    boxes = list(enumerate_canonical_boxes(ps, 3))
-    bb = BoxRange(ps.bounding_box())
-    assert bb in boxes
-
-
-def test_canonical_empty_when_min_count_exceeds_n():
-    ps = P2((0, 0), (2, 3), (5, 1))
-    assert list(enumerate_canonical_boxes(ps, 4)) == []
-
-
-def test_canonical_requires_distinct_coords():
-    ps = P2((0, 0), (0, 1), (1, 2))
-    with pytest.raises(DegenerateInputError):
-        list(enumerate_canonical_boxes(ps, 1))
-
-
-def test_canonical_matches_subset_bounding_boxes():
-    # every subset bounding box is canonical, and every canonical box is one
-    rng = random.Random(77)
-    for _ in range(15):
-        n = rng.randint(2, 6)
-        ps = random_pointset(rng, n, 2, lo=-9, hi=9)
-        canon = {b.intervals for b in enumerate_canonical_boxes(ps, 1)}
-        subset_bbs = set()
-        for r in range(1, n + 1):
-            for sub in combinations(ps.points, r):
-                subset_bbs.add(
-                    tuple(
-                        (min(p[a] for p in sub), max(p[a] for p in sub))
-                        for a in range(2)
-                    )
-                )
-        assert subset_bbs <= canon
-        # canonical boxes with at least 1 point shrink onto a subset bbox
-        for b in enumerate_canonical_boxes(ps, 1):
-            inside = [p for p in ps.points if b.contains(p)]
-            bb = tuple(
-                (min(p[a] for p in inside), max(p[a] for p in inside))
-                for a in range(2)
-            )
-            assert bb in subset_bbs
-
-
-def test_canonical_stream_deterministic():
-    ps = P2((0, 0), (2, 3), (5, 1), (1, 4))
-    a = [b.intervals for b in enumerate_canonical_boxes(ps, 2)]
-    b = [b.intervals for b in enumerate_canonical_boxes(ps, 2)]
-    assert a == b and len(a) == len(set(a))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -1,4 +1,4 @@
-"""verification: exact verdicts, counting bound, piercing, falsifier."""
+"""verification: exact verdicts, counting bound, piercing."""
 
 import random
 from fractions import Fraction as F
@@ -25,7 +25,6 @@ from epsnet.ranges import (
     count_in_box,
 )
 from epsnet.verification import (
-    adversarial_search,
     counting_bound,
     pierceable_by_two,
     verify_weighted_net,
@@ -34,6 +33,7 @@ from epsnet.verification import (
 )
 
 from helpers import (
+    REPEATED_11,
     brute_verify_boxes,
     brute_verify_convex_2d,
     random_pointset,
@@ -125,7 +125,18 @@ def test_center_net_passes_square():
     assert report.passed == all(brute_verify_boxes(ps, net))
 
 
-def test_box_methods_and_bruteforce_agree():
+def assert_box_report_matches_bruteforce(ps, net):
+    report = verify_weighted_net_boxes(ps, net)
+    assert list(report.verdicts) == brute_verify_boxes(ps, net)
+    for v in report.violations:
+        assert count_in_box(ps, v.witness) == v.point_count
+        assert v.witness.count_net_points(net.points) == v.net_count
+        assert v.point_count >= net.profile.min_strict_count(v.level, ps.n)
+        assert v.net_count < v.level
+    return report
+
+
+def test_box_verifier_matches_bruteforce():
     rng = random.Random(60)
     for _ in range(60):
         n = rng.randint(3, 9)
@@ -133,15 +144,29 @@ def test_box_methods_and_bruteforce_agree():
         k = rng.randint(1, 3)
         # mix far-away and near-median nets to get both verdicts
         net = random_net(rng, ps.dim, k, lo=-15, hi=15)
-        fast = verify_weighted_net_boxes(ps, net, method="regions")
-        slow = verify_weighted_net_boxes(ps, net, method="enumerate")
-        brute = brute_verify_boxes(ps, net)
-        assert list(fast.verdicts) == list(slow.verdicts) == brute
-        for v in fast.violations + slow.violations:
-            assert count_in_box(ps, v.witness) == v.point_count
-            assert v.witness.count_net_points(net.points) == v.net_count
-            assert v.point_count >= net.profile.min_strict_count(v.level, ps.n)
-            assert v.net_count < v.level
+        assert_box_report_matches_bruteforce(ps, net)
+    # repeated coordinates and duplicate points; net points on input
+    # points, so on repeated coordinates, or at half-integers between them
+    sets = [P2(*REPEATED_11)]
+    for _ in range(30):
+        ps = random_pointset(
+            rng, rng.randint(3, 9), rng.choice([1, 2]), lo=-4, hi=4, distinct=False
+        )
+        sets.append(PointSet(ps.dim, ps.points + (rng.choice(ps.points),)))
+    seen = set()
+    for ps in sets:
+        for _ in range(4):
+            k = rng.randint(1, 3)
+            pts = tuple(
+                rng.choice(ps.points)
+                if rng.random() < 0.5
+                else tuple(F(rng.randint(-8, 10), 2) for _ in range(ps.dim))
+                for _ in range(k)
+            )
+            cuts = sorted(rng.randint(1, 9) for _ in range(k))
+            net = WeightedNet(pts, EpsilonProfile(tuple(F(c, 10) for c in cuts)))
+            seen.update(assert_box_report_matches_bruteforce(ps, net).verdicts)
+    assert seen == {True, False}
 
 
 def test_box_violations_reported_at_lowest_level():
@@ -242,9 +267,6 @@ def test_convex_rational_net_points_agree_with_bruteforce():
         for v in report.violations:
             inside = sum(1 for q in net.points if point_in_hull(q, v.witness))
             assert inside == v.net_count < v.level
-        hit = adversarial_search(ps, net, RangeSpaceKind.CONVEX_SETS, 20, seed=trial)
-        if hit is not None:
-            assert not report.verdicts[hit.level - 1]
     assert seen == {True, False}
     # the only 4-subset is the whole quadrilateral: a net point on its edge
     # passes, the same point nudged outward by 1/1000 fails
@@ -367,57 +389,3 @@ def test_pierceable_matches_arrangement_oracle():
             a, b = got
             for member in family:
                 assert point_in_hull(a, member) or point_in_hull(b, member)
-
-
-# --- adversarial search -------------------------------------------------------------
-
-
-def test_adversarial_deterministic_and_sound():
-    rng = random.Random(65)
-    ps = random_pointset(rng, 10, 2, lo=-20, hi=20)
-    net = WeightedNet(
-        ((F(99), F(99)), (F(98), F(98))), EpsilonProfile((F(2, 5), F(3, 5)))
-    )
-    first = adversarial_search(ps, net, RangeSpaceKind.AXIS_PARALLEL_BOXES, 200, seed=9)
-    second = adversarial_search(ps, net, RangeSpaceKind.AXIS_PARALLEL_BOXES, 200, seed=9)
-    assert first == second
-    assert first is not None
-    assert count_in_box(ps, first.witness) == first.point_count
-    assert first.point_count >= net.profile.min_strict_count(first.level, ps.n)
-    assert first.net_count < first.level
-
-
-def test_adversarial_none_on_valid_net():
-    ps = P2((0, 0), (4, 2), (1, 4), (3, 1))
-    net = WeightedNet(((F(2), F(2)),), EpsilonProfile((F(1, 2),)))
-    assert verify_weighted_net_boxes(ps, net).passed
-    for seed in range(3):
-        assert (
-            adversarial_search(
-                ps, net, RangeSpaceKind.AXIS_PARALLEL_BOXES, 2000, seed=seed
-            )
-            is None
-        )
-
-
-@pytest.mark.parametrize("kind", [RangeSpaceKind.AXIS_PARALLEL_BOXES, RangeSpaceKind.CONVEX_SETS])
-def test_adversarial_agreement_with_exact(kind):
-    rng = random.Random(66)
-    hits = 0
-    bad = 0
-    while bad < 25:
-        n = rng.randint(6, 11)
-        ps = random_pointset(rng, n, 2, lo=-15, hi=15)
-        net = random_net(rng, 2, rng.randint(1, 2), lo=-18, hi=18)
-        if kind is RangeSpaceKind.AXIS_PARALLEL_BOXES:
-            exact = verify_weighted_net_boxes(ps, net)
-        else:
-            exact = verify_weighted_net_convex(ps, net)
-        if exact.passed:
-            continue
-        bad += 1
-        trials = 2500 if kind is RangeSpaceKind.AXIS_PARALLEL_BOXES else 120
-        v = adversarial_search(ps, net, kind, trials, seed=bad)
-        if v is not None:
-            hits += 1
-    assert hits >= int(0.95 * bad)
