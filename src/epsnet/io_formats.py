@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Any, Mapping, Optional, Sequence, Union
 
 from .gadgets import CertificationReport, CertifiedClaim, GadgetInstance
-from .geometry import Halfspace, HPolytope, Hyperplane, Point, PointSet, SubsetHull
+from .geometry import HPolytope, Point, PointSet, SubsetHull
 from .ranges import BoxRange, EpsilonProfile, WeightedNet
 from .verification import VerificationReport, Violation
 

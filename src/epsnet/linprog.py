@@ -4,6 +4,9 @@ A small dense two-phase simplex working entirely in ``fractions.Fraction``.
 Pivoting uses Bland's rule, so the solver terminates on every input and is
 deterministic: the same constraint list always yields the same basic
 solution.  This is what makes LP-derived witness points reproducible.
+Pivots and reduced-cost updates skip the zero entries of the pivot row,
+most of a row in these tableaux; the arithmetic is exact, so skipping them
+changes no pivot choice and no result.
 
 The module also provides :func:`feasible_point`, which accepts strict
 inequalities.  Strictness is handled by the usual slack trick: every strict
@@ -53,20 +56,20 @@ class _Tableau:
 
     def pivot(self, r: int, c: int) -> None:
         rows, rhs = self.rows, self.rhs
-        piv = rows[r][c]
-        inv = ONE / piv
-        rows[r] = [v * inv for v in rows[r]]
-        rhs[r] *= inv
         prow = rows[r]
+        piv = prow[c]
+        if piv != 1:
+            inv = ONE / piv
+            prow = rows[r] = [v * inv if v else v for v in prow]
+            rhs[r] *= inv
         prhs = rhs[r]
-        for i in range(len(rows)):
+        for i, row in enumerate(rows):
             if i == r:
                 continue
-            f = rows[i][c]
+            f = row[c]
             if f == 0:
                 continue
-            row = rows[i]
-            rows[i] = [row[j] - f * prow[j] for j in range(self.ncols)]
+            rows[i] = [v - f * p if p else v for v, p in zip(row, prow)]
             rhs[i] -= f * prhs
         self.basis[r] = c
 
@@ -82,9 +85,9 @@ class _Tableau:
         for r, bv in enumerate(basis):
             f = red[bv]
             if f != 0:
-                row = rows[r]
-                for j in range(self.ncols):
-                    red[j] -= f * row[j]
+                for j, p in enumerate(rows[r]):
+                    if p:
+                        red[j] -= f * p
                 z -= f * rhs[r]
         while True:
             enter = -1
@@ -107,9 +110,9 @@ class _Tableau:
                 return "unbounded", ZERO
             f = red[enter]
             self.pivot(leave, enter)
-            prow = rows[leave]
-            for j in range(self.ncols):
-                red[j] -= f * prow[j]
+            for j, p in enumerate(rows[leave]):
+                if p:
+                    red[j] -= f * p
             z -= f * rhs[leave]
 
 

@@ -251,18 +251,6 @@ def minimal_convex_ranges(P: PointSet, t: int) -> Iterator[SubsetHull]:
 # the avoidance oracle
 
 
-def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
-
-
-def _cross3(u, v):
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
-
-
 @lru_cache(maxsize=8192)
 def _candidate_masks(P: PointSet, q: Point) -> tuple[int, ...]:
     """Bitmasks of maximal point subsets strictly separable from q.
@@ -304,29 +292,40 @@ def _candidate_masks(P: PointSet, q: Point) -> tuple[int, ...]:
                     neg |= 1 << i
             masks.update(m for m in (pos, neg) if m)
     elif d == 3:
-        diffs = [tuple(a - b for a, b in zip(p, iq)) for p in pts]
+        q0, q1, q2 = iq
+        diffs = [(x - q0, y - q1, z - q2) for x, y, z in pts]
         axes = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
         anchors = [u for u in diffs if u != (0, 0, 0)]
         cands = [
             (u, v)
-            for u in anchors
-            for v in anchors + axes
-            if u is not v
+            for i, u in enumerate(anchors)
+            for j, v in enumerate(anchors + axes)
+            if i != j
         ]
         cands += [(e, u) for u in anchors for e in axes]
-        for u, v in cands:
-            nrm = _cross3(u, v)
-            if nrm == (0, 0, 0):
+        bits = [(w0, w1, w2, 1 << i) for i, (w0, w1, w2) in enumerate(diffs)]
+        for (u0, u1, u2), (v0, v1, v2) in cands:
+            # normal n = u x v of the plane through q spanned by u and v
+            n0 = u1 * v2 - u2 * v1
+            n1 = u2 * v0 - u0 * v2
+            n2 = u0 * v1 - u1 * v0
+            if not (n0 or n1 or n2):
                 continue
             mask = 0
-            for i, w in enumerate(diffs):
-                s = _dot(nrm, w)
+            for w0, w1, w2, bit in bits:
+                s = n0 * w0 + n1 * w1 + n2 * w2
                 if s > 0:
-                    mask |= 1 << i
+                    mask |= bit
                 elif s == 0:
-                    t2 = _dot(_cross3(u, w), nrm)
-                    if t2 > 0 or (t2 == 0 and _dot(u, w) > 0):
-                        mask |= 1 << i
+                    # on the plane: the side a rotation about u sweeps w to,
+                    # the sign of (u x w) . n; on u's line: ahead along u
+                    t2 = (
+                        (u1 * w2 - u2 * w1) * n0
+                        + (u2 * w0 - u0 * w2) * n1
+                        + (u0 * w1 - u1 * w0) * n2
+                    )
+                    if t2 > 0 or (t2 == 0 and u0 * w0 + u1 * w1 + u2 * w2 > 0):
+                        mask |= bit
             if mask:
                 masks.add(mask)
     else:

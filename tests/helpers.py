@@ -1,15 +1,19 @@
 """Shared brute-force oracles and random-instance generators for the tests.
 
-Everything here is deliberately independent of the library's LP machinery:
+The oracles are deliberately independent of the library's LP machinery:
 membership uses Caratheodory subsets solved by Gaussian elimination,
 separation enumerates candidate hyperplanes, counting is a naive scan.
+At the end sit the plain versions of two optimised kernels, the 3D
+avoidance oracle and the simplex pivot, which differential tests hold the
+library's kernels to, output for output.
 """
 
 from fractions import Fraction as F
 from itertools import combinations
 import random
 
-from epsnet.geometry import PointSet
+from epsnet.geometry import PointSet, common_integer_coords
+from epsnet.linprog import ONE, ZERO, _Tableau
 
 
 # --- exact linear algebra ---------------------------------------------------
@@ -290,3 +294,117 @@ def brute_verify_convex_2d(P, net):
             if cnt >= thresholds[i - 1] and net_in < i:
                 verdicts[i - 1] = False
     return verdicts
+
+
+# --- the 3D avoidance oracle, before its integer kernel ----------------------
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _cross3(u, v):
+    return (
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    )
+
+
+def slow_candidate_masks_3d(P, q):
+    """``ranges._candidate_masks`` for d=3 with generic dot and cross
+    products, uncached: the reference its inlined kernel must reproduce,
+    mask order included."""
+    pts, (iq,) = common_integer_coords(P, (q,))
+    masks = set()
+    diffs = [tuple(a - b for a, b in zip(p, iq)) for p in pts]
+    axes = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    anchors = [u for u in diffs if u != (0, 0, 0)]
+    cands = [
+        (u, v)
+        for u in anchors
+        for v in anchors + axes
+        if u is not v
+    ]
+    cands += [(e, u) for u in anchors for e in axes]
+    for u, v in cands:
+        nrm = _cross3(u, v)
+        if nrm == (0, 0, 0):
+            continue
+        mask = 0
+        for i, w in enumerate(diffs):
+            s = _dot(nrm, w)
+            if s > 0:
+                mask |= 1 << i
+            elif s == 0:
+                t2 = _dot(_cross3(u, w), nrm)
+                if t2 > 0 or (t2 == 0 and _dot(u, w) > 0):
+                    mask |= 1 << i
+        if mask:
+            masks.add(mask)
+    return tuple(sorted(masks, key=lambda m: -m.bit_count()))
+
+
+# --- the exact simplex, before its zero-skipping pivot ------------------------
+
+
+class DenseTableau(_Tableau):
+    """``linprog._Tableau`` with every entry of every row updated on each
+    pivot, zeros included: the reference the zero-skipping pivot must match
+    pivot for pivot."""
+
+    def pivot(self, r, c):
+        rows, rhs = self.rows, self.rhs
+        piv = rows[r][c]
+        inv = ONE / piv
+        rows[r] = [v * inv for v in rows[r]]
+        rhs[r] *= inv
+        prow = rows[r]
+        prhs = rhs[r]
+        for i in range(len(rows)):
+            if i == r:
+                continue
+            f = rows[i][c]
+            if f == 0:
+                continue
+            row = rows[i]
+            rows[i] = [row[j] - f * prow[j] for j in range(self.ncols)]
+            rhs[i] -= f * prhs
+        self.basis[r] = c
+
+    def minimize(self, cost):
+        rows, rhs, basis = self.rows, self.rhs, self.basis
+        red = list(cost)
+        z = ZERO
+        for r, bv in enumerate(basis):
+            f = red[bv]
+            if f != 0:
+                row = rows[r]
+                for j in range(self.ncols):
+                    red[j] -= f * row[j]
+                z -= f * rhs[r]
+        while True:
+            enter = -1
+            for j in range(self.ncols):
+                if red[j] < 0:
+                    enter = j
+                    break
+            if enter < 0:
+                return "optimal", -z
+            leave = -1
+            best = None
+            for i in range(len(rows)):
+                a = rows[i][enter]
+                if a > 0:
+                    ratio = rhs[i] / a
+                    if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                        best = ratio
+                        leave = i
+            if leave < 0:
+                return "unbounded", ZERO
+            f = red[enter]
+            self.pivot(leave, enter)
+            prow = rows[leave]
+            for j in range(self.ncols):
+                red[j] -= f * prow[j]
+            z -= f * rhs[leave]

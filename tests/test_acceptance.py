@@ -173,7 +173,8 @@ def test_criterion_09_exact_verifiers_match_brute_force_on_200_instances():
     for i in range(200):
         rng = Random(9000 + i)
         n = rng.randint(4, 12)
-        # the box verifier requires pairwise-distinct coordinates per axis
+        # pairwise-distinct coordinates per axis; the box verifier also takes
+        # repeated ones, which test_box_verifier_matches_bruteforce covers
         P = random_pointset(rng, n, 2)
         lo, hi = -55, 55
         k = rng.randint(1, 2)

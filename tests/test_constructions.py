@@ -7,7 +7,6 @@ from math import comb
 import pytest
 
 from epsnet.constructions import (
-    ConstructionTrace,
     box_median_point,
     check_box_pair_conditions,
     check_box_triple_conditions,

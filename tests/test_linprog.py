@@ -1,10 +1,15 @@
 """Exact simplex unit tests, including randomized cross-checks."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from epsnet import linprog
+from epsnet.gadgets import certify, gadget_five_clusters, gadget_simplex
 from epsnet.linprog import LPResult, feasible_point, solve
+
+from helpers import DenseTableau
 
 
 def test_simple_bounded_max():
@@ -124,17 +129,9 @@ def test_result_shape():
     assert res.ok and res.value == 0
 
 
-@pytest.mark.parametrize("seed", range(30))
-def test_randomized_against_vertex_enumeration(seed):
-    """2-var LPs with small integer data, checked against brute force.
-
-    Every optimum of a bounded feasible 2d LP sits on an intersection of
-    two constraint lines (or of a line and an axis), so enumerating all
-    pairwise intersections gives an independent optimum.
-    """
-    import itertools
-    import random
-
+def _random_lp(seed):
+    """Constraints and objective of a bounded 2-var LP with small integer
+    data, feasible at the origin."""
     rng = random.Random(seed)
     m = rng.randint(2, 5)
     cons = []
@@ -149,6 +146,20 @@ def test_randomized_against_vertex_enumeration(seed):
     cons.append(([F(1), F(0)], "<=", F(10)))
     cons.append(([F(0), F(1)], "<=", F(10)))
     obj = [F(rng.randint(-3, 3)), F(rng.randint(-3, 3))]
+    return cons, obj
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_randomized_against_vertex_enumeration(seed):
+    """2-var LPs with small integer data, checked against brute force.
+
+    Every optimum of a bounded feasible 2d LP sits on an intersection of
+    two constraint lines (or of a line and an axis), so enumerating all
+    pairwise intersections gives an independent optimum.
+    """
+    import itertools
+
+    cons, obj = _random_lp(seed)
     res = solve(2, cons, objective=obj, nonneg=[True, True], maximize=True)
     assert res.ok
 
@@ -170,3 +181,103 @@ def test_randomized_against_vertex_enumeration(seed):
                 best = v
     assert best is not None
     assert res.value == best
+
+
+# --- the zero-skipping pivot against the dense one ---------------------------
+
+
+def _pivots_under(monkeypatch, base, run):
+    """run() with linprog._Tableau replaced by a subclass of ``base`` that
+    records every pivot; returns (run's result, the pivot list)."""
+    pivots = []
+
+    class Recording(base):
+        def pivot(self, r, c):
+            pivots.append((len(self.rows), r, c))
+            super().pivot(r, c)
+
+    with monkeypatch.context() as m:
+        m.setattr(linprog, "_Tableau", Recording)
+        return run(), pivots
+
+
+def _same_under_both_tableaux(monkeypatch, run):
+    fast = _pivots_under(monkeypatch, linprog._Tableau, run)
+    dense = _pivots_under(monkeypatch, DenseTableau, run)
+    assert fast == dense
+    return fast
+
+
+_SYSTEMS = {
+    "infeasible": lambda: solve(
+        1, [([F(1)], "<=", F(0)), ([F(1)], ">=", F(1))], nonneg=[True]
+    ),
+    "unbounded": lambda: solve(
+        2,
+        [([F(1), F(-1)], ">=", F(1)), ([F(0), F(1)], ">=", F(-2))],
+        objective=[F(1), F(1)],
+        maximize=True,
+    ),
+    "redundant-equalities": lambda: solve(
+        3,
+        [
+            ([F(1), F(1), F(0)], "==", F(2)),
+            ([F(2), F(2), F(0)], "==", F(4)),
+            ([F(0), F(1), F(-1)], "==", F(1, 3)),
+            ([F(1), F(2), F(-1)], "==", F(7, 3)),
+        ],
+        objective=[F(1), F(0), F(2)],
+        nonneg=[True, True, True],
+    ),
+    "strict-feasible": lambda: feasible_point(
+        2,
+        [
+            ([F(1), F(0)], ">=", F(0)),
+            ([F(1), F(1)], "==", F(1)),
+            ([F(0), F(-1)], "<", F(-1, 2)),
+            ([F(3), F(-2)], "<", F(5, 7)),
+        ],
+    ),
+    "strict-infeasible": lambda: feasible_point(
+        2,
+        [
+            ([F(1), F(1)], "<", F(1)),
+            ([F(-1), F(-1)], "<=", F(-1)),
+            ([F(2), F(-3)], "<", F(4)),
+        ],
+    ),
+    "strict-boundary": lambda: feasible_point(
+        1, [([F(1)], "<", F(0)), ([F(-1)], "<=", F(0))]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SYSTEMS))
+def test_sparse_pivot_matches_dense_on_special_systems(monkeypatch, name):
+    _, pivots = _same_under_both_tableaux(monkeypatch, _SYSTEMS[name])
+    assert pivots
+
+
+def test_sparse_pivot_matches_dense_on_random_lps(monkeypatch):
+    for seed in range(30):
+        cons, obj = _random_lp(seed)
+
+        def run():
+            return (
+                solve(2, cons, objective=obj, nonneg=[True, True], maximize=True),
+                solve(2, cons, objective=obj, maximize=False),
+                feasible_point(2, cons, nonneg=[True, True]),
+                feasible_point(2, [(a, "<", c) for a, _, c in cons]),
+            )
+
+        _same_under_both_tableaux(monkeypatch, run)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: gadget_five_clusters(2), lambda: gadget_simplex(4)],
+    ids=["five-clusters-k2", "simplex-d4"],
+)
+def test_certify_reports_equal_under_both_tableaux(monkeypatch, make):
+    instance = make()
+    _, pivots = _same_under_both_tableaux(monkeypatch, lambda: certify(instance))
+    assert pivots

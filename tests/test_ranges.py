@@ -5,7 +5,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from epsnet import ranges
 from epsnet.errors import UnsupportedDimensionError
+from epsnet.gadgets import (
+    ClaimKind,
+    gadget_hexagon_3d,
+    gadget_simplex,
+    threshold_probe_pairs,
+)
 from epsnet.geometry import PointSet, SubsetHull, point_in_hull
 from epsnet.ranges import (
     BoxRange,
@@ -24,6 +31,7 @@ from helpers import (
     brute_max_box_count,
     naive_count_in_box,
     random_pointset,
+    slow_candidate_masks_3d,
     subset_box_counts,
 )
 
@@ -233,6 +241,77 @@ def test_avoidance_oracle_vs_bruteforce_3d():
         if rng.random() < 0.5:
             avoid.append(tuple(F(rng.randint(-4, 4)) for _ in range(3)))
         assert max_subset_avoiding(ps, avoid) == _brute_max_avoiding(ps, avoid)
+
+
+def P3(*pts):
+    return PointSet(3, tuple(tuple(F(c) for c in p) for p in pts))
+
+
+_BASE3 = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1), (2, 2, 0), (-1, 3, 1)]
+
+# (points, q) pairs on which the tie rules of the 3D oracle decide masks
+_DEGENERATE_3D = {
+    "q-is-an-input-point": (_BASE3, (1, 1, 1)),
+    "q-is-the-origin-input-point": (_BASE3, (0, 0, 0)),
+    "q-is-a-midpoint": (_BASE3, (1, 1, 0)),
+    "q-is-a-midpoint-of-a-diagonal": (_BASE3, (1, F(1, 2), F(1, 2))),
+    "q-coplanar-with-three-points": (_BASE3, (3, -1, 0)),
+    "q-inside-a-triangle": (_BASE3, (F(1, 2), F(1, 2), 0)),
+    "points-on-one-ray": (
+        [(1, 1, 1), (2, 2, 2), (3, 3, 3), (-1, -1, -1), (1, 0, 0), (0, 1, 0)],
+        (0, 0, 0),
+    ),
+    "points-on-one-ray-only": ([(1, 2, 0), (2, 4, 0), (3, 6, 0)], (0, 0, 0)),
+    "duplicate-points": (
+        [(1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+        (0, 0, 0),
+    ),
+    "duplicates-of-q": ([(1, 1, 1), (1, 1, 1), (2, 0, 1), (0, 2, 1)], (1, 1, 1)),
+    "every-point-is-q": ([(1, 2, 3)] * 3, (1, 2, 3)),
+    "n-is-1": ([(1, 0, 0)], (0, 0, 0)),
+    "n-is-1-at-q": ([(1, 0, 0)], (1, 0, 0)),
+    "mixed-denominators": (
+        [(F(1, 2), 0, 0), (0, F(2, 3), 0), (0, 0, 1), (1, 1, F(5, 4)), (-1, 2, 0)],
+        (F(1, 3), F(2, 5), F(-3, 7)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DEGENERATE_3D))
+def test_3d_oracle_matches_slow_oracle_on_degenerate_q(name):
+    pts, q = _DEGENERATE_3D[name]
+    P = P3(*pts)
+    q = tuple(F(c) for c in q)
+    fast = ranges._candidate_masks.__wrapped__(P, q)
+    assert fast == slow_candidate_masks_3d(P, q)
+    if all(p == q for p in P.points):
+        assert fast == ()
+
+
+def test_3d_oracle_matches_slow_oracle_on_random_grid_probes():
+    rng = random.Random(77)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        P = P3(*(tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(n)))
+        if rng.random() < 0.3:
+            q = rng.choice(P.points)
+        else:
+            q = tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3))
+        fast = ranges._candidate_masks.__wrapped__(P, q)
+        assert fast == slow_candidate_masks_3d(P, q), (P.points, q)
+
+
+@pytest.mark.parametrize(
+    "make", [gadget_hexagon_3d, lambda: gadget_simplex(3)], ids=["hexagon3d", "simplex3"]
+)
+def test_3d_oracle_matches_slow_oracle_on_gadget_probes(make):
+    instance = make()
+    claim = next(c for c in instance.claims if c.kind is ClaimKind.ORACLE_THRESHOLD)
+    pairs = threshold_probe_pairs(instance, claim.trials, claim.seed)[:200]
+    probes = {q for pair in pairs for q in pair}
+    for q in probes:
+        fast = ranges._candidate_masks.__wrapped__(instance.pointset, q)
+        assert fast == slow_candidate_masks_3d(instance.pointset, q), q
 
 
 def test_witness_is_sound():

@@ -18,7 +18,6 @@ from epsnet.geometry import (
     point_in_hull,
 )
 from epsnet.ranges import (
-    BoxRange,
     EpsilonProfile,
     RangeSpaceKind,
     WeightedNet,
