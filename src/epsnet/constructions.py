@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from math import comb
 from typing import Optional
 
@@ -39,7 +40,6 @@ from .geometry import (
     clip_polygon_halfplane,
     halving_hyperplane,
     integer_coords,
-    orient2d,
     polytopes_intersect,
 )
 from .ranges import EpsilonProfile, WeightedNet
@@ -163,6 +163,49 @@ def construct_convex_pair(
     return net, trace
 
 
+def _left_counts(ipts, above, order, a):
+    """Rotating-line side counts around u = order[a] for points in general
+    position.
+
+    Returns ``(left, up)``, indexed by point: for each w != u, the number
+    of points strictly left of the line u->w and how many of them are
+    ``above``.  The other points are sorted once by angle around u; the
+    points strictly left of u->w are those after w in that cyclic order up
+    to the turn of pi, and the end of that run only moves forward as w
+    turns, so two pointers over the doubled order find every run.
+    """
+    ux, uy = ipts[order[a]]
+    dx = [p[0] - ux for p in ipts]
+    dy = [p[1] - uy for p in ipts]
+    n = len(ipts)
+    m = n - 1
+    # x-coordinates are distinct: the points after u in ``order`` lie right
+    # of it, the others left, and within each half the angle grows with the
+    # slope.  Counterclockwise from straight down: right half, then left.
+    # v sorts before w when w is counterclockwise of v, seen from u.
+    by_angle = cmp_to_key(lambda v, w: dy[v] * dx[w] - dx[v] * dy[w])
+    ring = sorted(order[a + 1:], key=by_angle) + sorted(order[:a], key=by_angle)
+    ring += ring
+    ups = [0]
+    for v in ring:
+        ups.append(ups[-1] + above[v])
+    left = [0] * n
+    up = [0] * n
+    e = 0
+    for i in range(m):
+        w = ring[i]
+        wx = dx[w]
+        wy = dy[w]
+        if e <= i:
+            e = i + 1
+        # advance past the points strictly left of u->w
+        while e < i + m and wx * dy[ring[e]] - wy * dx[ring[e]] > 0:
+            e += 1
+        left[w] = e - i - 1
+        up[w] = ups[e] - ups[i + 1]
+    return left, up
+
+
 def _convex_pair_2d(P, above, t1, t2):
     """Intersect each side family through its supporting halfplanes.
 
@@ -172,6 +215,11 @@ def _convex_pair_2d(P, above, t1, t2):
     has an edge whose supporting halfplane already excludes it, and that
     halfplane holds the whole member.  This turns the binomial hull sweep
     into at most n(n-1) halfplane clips with an identical intersection.
+
+    The halfplane contents come from one angular sort around each point
+    (``_left_counts``), O(n^2 log n) in all, and both families are clipped
+    as the lines are met, in lexicographic order of the point pairs, on
+    homogeneous integer vertices: memory stays O(n).
     """
     n = P.n
     scale, ipts = integer_coords(P)
@@ -184,50 +232,54 @@ def _convex_pair_2d(P, above, t1, t2):
         ("small_B", _count_small_side(n, n_above, t1, c_min, False)),
         ("big", comb(n, t2)),
     ]
-    cuts_a = []
-    cuts_b = []
-    for u, w in itertools.combinations(order, 2):
-        pu, pw = ipts[u], ipts[w]
-        left = right = above_left = above_right = 0
-        for k in range(n):
-            s = orient2d(pu, pw, ipts[k])
-            if s > 0:
-                left += 1
-                above_left += above[k]
-            elif s < 0:
-                right += 1
-                above_right += above[k]
-        # closed halfplanes: points on the boundary line count for both
-        for a_pt, b_pt, cnt, up in (
-            (pu, pw, n - right, n_above - above_right),
-            (pw, pu, n - left, n_above - above_left),
-        ):
-            if cnt < t1:
-                continue
-            big = cnt >= t2
-            if big or up >= c_min:
-                cuts_a.append((a_pt, b_pt, (u, w)))
-            if big or cnt - up >= b_min:
-                cuts_b.append((a_pt, b_pt, (u, w)))
     xs = [p[0] for p in ipts]
     ys = [p[1] for p in ipts]
-    corners = (
-        (min(xs) - 1, min(ys) - 1),
-        (max(xs) + 1, min(ys) - 1),
-        (max(xs) + 1, max(ys) + 1),
-        (min(xs) - 1, max(ys) + 1),
-    )
+    corners = [
+        (min(xs) - 1, min(ys) - 1, 1),
+        (max(xs) + 1, min(ys) - 1, 1),
+        (max(xs) + 1, max(ys) + 1, 1),
+        (min(xs) - 1, max(ys) + 1, 1),
+    ]
+    polys = {"A": corners, "B": corners}
+    emptied = {}
+    for a, u in enumerate(order):
+        left_of, up_left = _left_counts(ipts, above, order, a)
+        pu = ipts[u]
+        for w in order[a + 1:]:
+            pw = ipts[w]
+            # general position: only u and w lie on the line
+            left = left_of[w]
+            above_left = up_left[w]
+            right = n - 2 - left
+            above_right = n_above - above[u] - above[w] - above_left
+            # closed halfplanes: points on the boundary line count for both
+            for a_pt, b_pt, cnt, up in (
+                (pu, pw, n - right, n_above - above_right),
+                (pw, pu, n - left, n_above - above_left),
+            ):
+                if cnt < t1:
+                    continue
+                big = cnt >= t2
+                for name, member in (
+                    ("A", big or up >= c_min),
+                    ("B", big or cnt - up >= b_min),
+                ):
+                    if member and name not in emptied:
+                        polys[name] = clip_polygon_halfplane(polys[name], a_pt, b_pt)
+                        if not polys[name]:
+                            emptied[name] = (u, w)
+        if "A" in emptied:
+            break
+    for name in ("A", "B"):
+        if name in emptied:
+            u, w = emptied[name]
+            raise ConstructionFailureError(
+                f"family {name} has empty intersection (emptied at the"
+                f" halfplane through input points {u} and {w})"
+            )
     points = []
-    for name, cuts in (("A", cuts_a), ("B", cuts_b)):
-        poly = [tuple(Fraction(c) for c in v) for v in corners]
-        for a_pt, b_pt, pair in cuts:
-            poly = clip_polygon_halfplane(poly, a_pt, b_pt)
-            if not poly:
-                raise ConstructionFailureError(
-                    f"family {name} has empty intersection (emptied at the"
-                    f" halfplane through input points {pair[0]} and {pair[1]})"
-                )
-        v = min(poly)
+    for name in ("A", "B"):
+        v = min((Fraction(x, w), Fraction(y, w)) for x, y, w in polys[name])
         points.append((v[0] / scale, v[1] / scale))
     return points[0], points[1], sizes
 

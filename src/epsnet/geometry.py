@@ -3,7 +3,8 @@
 Points, hyperplanes, halfspace polytopes and subset hulls, with exact
 predicates throughout: hull membership and polytope intersection reduce to
 rational LP feasibility, and the 2D fast paths (convex hulls, polygon
-clipping) run on scaled integer coordinates.
+clipping) run on integers: input points scaled by one common factor, and
+clipped polygon vertices as canonical homogeneous integer triples.
 
 Every scalar is a ``fractions.Fraction``.  Floats are rejected at the
 boundary: binary floats silently misrepresent decimal inputs, and all
@@ -17,7 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
@@ -64,9 +65,10 @@ class PointSet:
 
     ``general_position=True`` asserts (and checks, at construction) that no
     d+1 points lie on a common hyperplane and that coordinates are pairwise
-    distinct along every axis.  The check takes one integer determinant per
-    (d+1)-subset, O(n^(d+1)) in all; operations that need just the per-axis
-    distinctness test it themselves.
+    distinct along every axis.  In the plane the check compares reduced
+    integer directions, O(n^2) in all; for d >= 3 it takes one integer
+    determinant per (d+1)-subset, O(n^(d+1)).  Operations that need just
+    the per-axis distinctness test it themselves.
 
     The hash is computed once, on first use: point sets key the module
     caches of integer coordinates, axis orders and oracle masks, and
@@ -125,6 +127,9 @@ class PointSet:
         if self.n < d + 1:
             return
         _, ipts = integer_coords(self)
+        if d == 2:
+            self._check_no_collinear_triple(ipts)
+            return
         for idx in itertools.combinations(range(self.n), d + 1):
             base = ipts[idx[0]]
             rows = [[ipts[i][j] - base[j] for j in range(d)] for i in idx[1:]]
@@ -132,6 +137,38 @@ class PointSet:
                 sub = tuple(self.points[i] for i in idx)
                 raise DegenerateInputError(
                     f"{d + 1} points on a common hyperplane: {sub}"
+                )
+
+    def _check_no_collinear_triple(self, ipts) -> None:
+        """The planar check in O(n^2): i, j, k are collinear exactly when
+        the directions i->j and i->k reduce to the same primitive vector up
+        to sign.  Coordinates are distinct per axis, so no direction is zero
+        and its x-component fixes the sign.
+
+        The first i with a repeated direction among the j > i, the smallest
+        j that shares its direction with a later point, and the next point
+        k in that direction form the first collinear triple in
+        combinations order.
+        """
+        n = self.n
+        for i in range(n - 2):
+            xi, yi = ipts[i]
+            first: dict[tuple[int, int], int] = {}
+            repeats = []
+            for j in range(i + 1, n):
+                dx = ipts[j][0] - xi
+                dy = ipts[j][1] - yi
+                g = gcd(dx, dy)
+                if dx < 0:
+                    g = -g
+                f = first.setdefault((dx // g, dy // g), j)
+                if f != j:
+                    repeats.append((f, j))
+            if repeats:
+                j, k = min(repeats)
+                sub = (self.points[i], self.points[j], self.points[k])
+                raise DegenerateInputError(
+                    f"3 points on a common hyperplane: {sub}"
                 )
 
     def bounding_box(self) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -477,25 +514,37 @@ def point_in_convex_polygon(q, poly: Sequence[tuple]) -> int:
 
 
 def clip_polygon_halfplane(poly: list[tuple], a, b) -> list[tuple]:
-    """Sutherland-Hodgman clip of a convex polygon to the left of line a->b."""
-    if not poly:
-        return []
+    """Sutherland-Hodgman clip of a convex polygon to the closed halfplane
+    left of the line a->b.
+
+    Vertices are homogeneous integer triples (X, Y, W) for the point
+    (X/W, Y/W), kept canonical (W > 0, gcd 1) so that tuple equality is
+    rational equality; a and b are integer points.  A polygon with no vertex
+    strictly outside comes back unchanged, consecutive repeated vertices
+    collapse, and a clip that leaves a single point or a segment returns it.
+    """
+    ax, ay = a
+    ux = b[0] - ax
+    uy = b[1] - ay
+    sides = [ux * (y - ay * w) - uy * (x - ax * w) for x, y, w in poly]
+    if not poly or min(sides) >= 0:
+        return poly
     out: list[tuple] = []
     m = len(poly)
-    sides = [orient2d(a, b, p) for p in poly]
     for i in range(m):
         p, sp = poly[i], sides[i]
         q, sq = poly[(i + 1) % m], sides[(i + 1) % m]
         if sp >= 0:
             out.append(p)
         if (sp > 0 and sq < 0) or (sp < 0 and sq > 0):
-            t = Fraction(sp, sp - sq)
-            out.append(
-                (
-                    p[0] + t * (q[0] - p[0]),
-                    p[1] + t * (q[1] - p[1]),
-                )
-            )
+            # sp*q - sq*p is the crossing point, for sides scaled by W
+            x = sp * q[0] - sq * p[0]
+            y = sp * q[1] - sq * p[1]
+            w = sp * q[2] - sq * p[2]
+            g = gcd(x, y, w)
+            if w < 0:
+                g = -g
+            out.append((x // g, y // g, w // g))
     # collapse duplicates introduced by vertices exactly on the line
     dedup: list[tuple] = []
     for p in out:
@@ -504,24 +553,6 @@ def clip_polygon_halfplane(poly: list[tuple], a, b) -> list[tuple]:
     if len(dedup) > 1 and dedup[0] == dedup[-1]:
         dedup.pop()
     return dedup
-
-
-def clip_polygon_to_hull(poly: list[tuple], hull: Sequence[tuple]) -> list[tuple]:
-    """Intersect a convex polygon with a convex hull (CCW vertex list)."""
-    m = len(hull)
-    if m == 1:
-        q = hull[0]
-        return [q] if poly and point_in_convex_polygon(q, poly) >= 0 else []
-    if m == 2:
-        a, b = hull
-        poly = clip_polygon_halfplane(poly, a, b)
-        poly = clip_polygon_halfplane(poly, b, a)
-        return poly
-    for i in range(m):
-        poly = clip_polygon_halfplane(poly, hull[i], hull[(i + 1) % m])
-        if not poly:
-            break
-    return poly
 
 
 @lru_cache(maxsize=32)

@@ -3,16 +3,27 @@
 The oracles are deliberately independent of the library's LP machinery:
 membership uses Caratheodory subsets solved by Gaussian elimination,
 separation enumerates candidate hyperplanes, counting is a naive scan.
-At the end sit the plain versions of two optimised kernels, the 3D
-avoidance oracle and the simplex pivot, which differential tests hold the
-library's kernels to, output for output.
+At the end sit the plain versions of optimised kernels (the planar
+general-position check, the planar convex-pair construction with its
+Fraction polygon clipping, the 3D avoidance oracle and the simplex pivot),
+which differential tests hold the library's kernels to, output for output.
 """
 
 from fractions import Fraction as F
 from itertools import combinations
+from math import comb
 import random
 
-from epsnet.geometry import PointSet, common_integer_coords
+from epsnet.constructions import _count_small_side
+from epsnet.errors import ConstructionFailureError, DegenerateInputError
+from epsnet.geometry import (
+    PointSet,
+    _det,
+    common_integer_coords,
+    integer_coords,
+    orient2d,
+    point_in_convex_polygon,
+)
 from epsnet.linprog import ONE, ZERO, _Tableau
 
 
@@ -294,6 +305,152 @@ def brute_verify_convex_2d(P, net):
             if cnt >= thresholds[i - 1] and net_in < i:
                 verdicts[i - 1] = False
     return verdicts
+
+
+# --- the general-position check, before its planar O(n^2) scan --------------
+
+
+def slow_check_general_position(P):
+    """``PointSet.check_general_position`` with one Bareiss determinant per
+    (d+1)-subset in every dimension: the reference for the planar scan's
+    verdict and message."""
+    P.require_distinct_coords()
+    d = P.dim
+    if P.n < d + 1:
+        return
+    _, ipts = integer_coords(P)
+    for idx in combinations(range(P.n), d + 1):
+        base = ipts[idx[0]]
+        rows = [[ipts[i][j] - base[j] for j in range(d)] for i in idx[1:]]
+        if _det(rows) == 0:
+            sub = tuple(P.points[i] for i in idx)
+            raise DegenerateInputError(
+                f"{d + 1} points on a common hyperplane: {sub}"
+            )
+
+
+# --- planar convex pairs, before the sweep and the integer clipping ----------
+
+
+def slow_clip_polygon_halfplane(poly, a, b):
+    """Sutherland-Hodgman clip of a convex polygon to the left of line a->b,
+    on affine vertices with Fraction crossings."""
+    if not poly:
+        return []
+    out = []
+    m = len(poly)
+    sides = [orient2d(a, b, p) for p in poly]
+    for i in range(m):
+        p, sp = poly[i], sides[i]
+        q, sq = poly[(i + 1) % m], sides[(i + 1) % m]
+        if sp >= 0:
+            out.append(p)
+        if (sp > 0 and sq < 0) or (sp < 0 and sq > 0):
+            t = F(sp, sp - sq)
+            out.append(
+                (
+                    p[0] + t * (q[0] - p[0]),
+                    p[1] + t * (q[1] - p[1]),
+                )
+            )
+    # collapse duplicates introduced by vertices exactly on the line
+    dedup = []
+    for p in out:
+        if not dedup or p != dedup[-1]:
+            dedup.append(p)
+    if len(dedup) > 1 and dedup[0] == dedup[-1]:
+        dedup.pop()
+    return dedup
+
+
+def clip_polygon_to_hull(poly, hull):
+    """Intersect a convex polygon with a convex hull (CCW vertex list)."""
+    m = len(hull)
+    if m == 1:
+        q = hull[0]
+        return [q] if poly and point_in_convex_polygon(q, poly) >= 0 else []
+    if m == 2:
+        a, b = hull
+        poly = slow_clip_polygon_halfplane(poly, a, b)
+        poly = slow_clip_polygon_halfplane(poly, b, a)
+        return poly
+    for i in range(m):
+        poly = slow_clip_polygon_halfplane(poly, hull[i], hull[(i + 1) % m])
+        if not poly:
+            break
+    return poly
+
+
+def slow_side_counts(ipts, above, u, w):
+    """(left, right, above_left, above_right): the points strictly on each
+    side of the line u->w and how many of them are ``above``, one
+    orientation per point."""
+    pu, pw = ipts[u], ipts[w]
+    left = right = above_left = above_right = 0
+    for k in range(len(ipts)):
+        s = orient2d(pu, pw, ipts[k])
+        if s > 0:
+            left += 1
+            above_left += above[k]
+        elif s < 0:
+            right += 1
+            above_right += above[k]
+    return left, right, above_left, above_right
+
+
+def slow_convex_pair_2d(P, above, t1, t2):
+    """``constructions._convex_pair_2d`` with per-pair side counts and
+    Fraction clipping of each family's collected cuts: the reference for
+    its net, class sizes and failure messages."""
+    n = P.n
+    scale, ipts = integer_coords(P)
+    order = sorted(range(n), key=lambda i: ipts[i])
+    c_min = (t1 + 1) // 2  # at least half the subset above the halving line
+    b_min = t1 - c_min + 1  # non-above count forced by a sub-c_min subset
+    n_above = sum(above)
+    sizes = [
+        ("small_A", _count_small_side(n, n_above, t1, c_min, True)),
+        ("small_B", _count_small_side(n, n_above, t1, c_min, False)),
+        ("big", comb(n, t2)),
+    ]
+    cuts_a = []
+    cuts_b = []
+    for u, w in combinations(order, 2):
+        pu, pw = ipts[u], ipts[w]
+        left, right, above_left, above_right = slow_side_counts(ipts, above, u, w)
+        # closed halfplanes: points on the boundary line count for both
+        for a_pt, b_pt, cnt, up in (
+            (pu, pw, n - right, n_above - above_right),
+            (pw, pu, n - left, n_above - above_left),
+        ):
+            if cnt < t1:
+                continue
+            big = cnt >= t2
+            if big or up >= c_min:
+                cuts_a.append((a_pt, b_pt, (u, w)))
+            if big or cnt - up >= b_min:
+                cuts_b.append((a_pt, b_pt, (u, w)))
+    xs = [p[0] for p in ipts]
+    ys = [p[1] for p in ipts]
+    corners = (
+        (min(xs) - 1, min(ys) - 1),
+        (max(xs) + 1, min(ys) - 1),
+        (max(xs) + 1, max(ys) + 1),
+        (min(xs) - 1, max(ys) + 1),
+    )
+    points = []
+    for name, cuts in (("A", cuts_a), ("B", cuts_b)):
+        poly = [tuple(F(c) for c in v) for v in corners]
+        for a_pt, b_pt, pair in cuts:
+            poly = slow_clip_polygon_halfplane(poly, a_pt, b_pt)
+            if not poly:
+                raise ConstructionFailureError(
+                    f"family {name} has empty intersection (emptied at the"
+                    f" halfplane through input points {pair[0]} and {pair[1]})"
+                )
+        v = min(poly)
+        points.append((v[0] / scale, v[1] / scale))
+    return points[0], points[1], sizes
 
 
 # --- the 3D avoidance oracle, before its integer kernel ----------------------

@@ -7,6 +7,8 @@ from math import comb
 import pytest
 
 from epsnet.constructions import (
+    _convex_pair_2d,
+    _left_counts,
     box_median_point,
     check_box_pair_conditions,
     check_box_triple_conditions,
@@ -21,14 +23,20 @@ from epsnet.errors import (
     ConstructionFailureError,
     DegenerateInputError,
 )
-from epsnet.geometry import PointSet
+from epsnet.geometry import PointSet, halving_hyperplane, integer_coords
 from epsnet.ranges import EpsilonProfile, max_subset_avoiding
 from epsnet.verification import (
     verify_weighted_net_boxes,
     verify_weighted_net_convex,
 )
 
-from helpers import brute_verify_boxes, brute_verify_convex_2d, random_pointset
+from helpers import (
+    brute_verify_boxes,
+    brute_verify_convex_2d,
+    random_pointset,
+    slow_convex_pair_2d,
+    slow_side_counts,
+)
 
 PAIR = EpsilonProfile((F(3, 7), F(4, 7)))
 TRIPLE = EpsilonProfile((F(3, 8), F(1, 2), F(5, 8)))
@@ -367,6 +375,72 @@ def test_convex_pair_d3():
     from epsnet.verification import verify_weighted_net
 
     assert verify_weighted_net(P, net, kind="convex").passed
+
+
+def _rational_general_position(rng, n):
+    """n points with mixed denominators, distinct per axis, no three on a
+    line."""
+    while True:
+        pts = tuple(
+            (F(rng.randint(-900, 900), rng.choice((1, 2, 3, 7))),
+             F(rng.randint(-900, 900), rng.choice((1, 4, 5))))
+            for _ in range(n)
+        )
+        P = PointSet(2, pts)
+        try:
+            P.check_general_position()
+        except DegenerateInputError:
+            continue
+        return P
+
+
+def test_left_counts_match_per_pair_orientations():
+    rng = random.Random(401)
+    for trial in range(25):
+        n = 3 + trial * 57 // 24  # 3 .. 60
+        P = _rational_general_position(rng, n)
+        _, ipts = integer_coords(P)
+        order = sorted(range(n), key=lambda i: ipts[i])
+        above = [rng.random() < 0.5 for _ in range(n)]
+        for a, u in enumerate(order):
+            left, up = _left_counts(ipts, above, order, a)
+            for w in range(n):
+                if w == u:
+                    continue
+                want_left, want_right, want_up, _ = slow_side_counts(ipts, above, u, w)
+                assert (left[w], up[w]) == (want_left, want_up)
+                assert want_left + want_right == n - 2
+
+
+def test_convex_pair_2d_matches_collected_fraction_clipping():
+    rng = random.Random(409)
+    outcomes = set()
+    for trial in range(30):
+        n = rng.randint(5, 60) if trial % 3 else rng.randint(5, 15)
+        P = _rational_general_position(rng, n)
+        if trial % 5 == 4:
+            # few points above: family B can empty while A does not
+            above = [rng.random() < 0.15 for _ in range(n)]
+        else:
+            H = halving_hyperplane(P, 1)
+            above = [H.side(p) > 0 for p in P.points]
+        if trial % 2:
+            t1, t2 = CONVEX.min_strict_count(1, n), CONVEX.min_strict_count(2, n)
+        else:
+            # arbitrary thresholds, many of which empty a family
+            t1 = rng.randint(3, n)
+            t2 = rng.randint(t1, n)
+        try:
+            want = slow_convex_pair_2d(P, above, t1, t2)
+        except ConstructionFailureError as exc:
+            with pytest.raises(ConstructionFailureError) as got:
+                _convex_pair_2d(P, above, t1, t2)
+            assert str(got.value) == str(exc)
+            outcomes.add(str(exc)[:8])
+            continue
+        assert _convex_pair_2d(P, above, t1, t2) == want
+        outcomes.add("net")
+    assert outcomes == {"net", "family A", "family B"}
 
 
 def test_convex_pair_planar_ignores_member_budget():

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations, permutations
+from math import gcd
 
 import pytest
 
@@ -19,7 +20,7 @@ from epsnet.geometry import (
     SubsetHull,
     as_point,
     centroid,
-    clip_polygon_to_hull,
+    clip_polygon_halfplane,
     common_integer_coords,
     frac,
     halving_hyperplane,
@@ -37,7 +38,10 @@ from helpers import (
     brute_on_boundary,
     brute_separating_hyperplane_outside,
     affine_rank,
+    clip_polygon_to_hull,
     random_pointset,
+    slow_check_general_position,
+    slow_clip_polygon_halfplane,
 )
 
 
@@ -177,6 +181,67 @@ def test_general_position_matches_affine_rank(d):
             PointSet(d, tuple(pts)).check_general_position()
         assert str(exc.value) == want
     assert outcomes == {True, False}
+
+
+def _general_position_error(check, P):
+    try:
+        check(P)
+    except DegenerateInputError as exc:
+        return str(exc)
+    return None
+
+
+def test_planar_general_position_matches_bareiss_at_larger_n():
+    rng = random.Random(311)
+    dens = (1, 2, 3, 5, 7, 12)
+
+    def rational():
+        return F(rng.randint(-10**4, 10**4), rng.choice(dens))
+
+    def between(p, q):
+        t = F(rng.randint(1, 9), 10)
+        return tuple(a + t * (b - a) for a, b in zip(p, q))
+
+    outcomes = set()
+    for trial in range(60):
+        n = rng.randint(3, 60)
+        pts = [(rational(), rational()) for _ in range(n)]
+        plant = trial % 4
+        if plant == 1:
+            # the lowest index sits between the other two: i->j and i->k
+            # point in opposite directions
+            i, j, k = sorted(rng.sample(range(n), 3))
+            pts[i] = between(pts[j], pts[k])
+        elif plant == 2:
+            # the middle index sits between the other two
+            i, j, k = sorted(rng.sample(range(n), 3))
+            pts[j] = between(pts[i], pts[k])
+        elif plant == 3:
+            # several collinear triples, one per chosen line
+            for _ in range(rng.randint(2, 4)):
+                i, j, k = rng.sample(range(n), 3)
+                pts[k] = between(pts[i], pts[j])
+        P = PointSet(2, tuple(pts))
+        want = _general_position_error(slow_check_general_position, P)
+        if n <= 15:
+            assert want == _reference_general_position_error(2, pts)
+        assert _general_position_error(PointSet.check_general_position, P) == want
+        outcomes.add(want and want.split(":")[0])
+    assert outcomes == {None, "3 points on a common hyperplane"}
+
+
+def test_planar_general_position_reports_first_triple():
+    # (0, 2, 3) is met first when scanning k, but (0, 1, 5) comes first in
+    # combinations order
+    pts = [(0, 0), (1, 3), (3, 1), (6, 2), (7, -4), (2, 6)]
+    P = PointSet(2, tuple((F(x), F(y)) for x, y in pts))
+    with pytest.raises(DegenerateInputError) as exc:
+        P.check_general_position()
+    assert str(exc.value) == _general_position_error(slow_check_general_position, P)
+    assert str(exc.value) == (
+        "3 points on a common hyperplane: ((Fraction(0, 1), Fraction(0, 1)),"
+        " (Fraction(1, 1), Fraction(3, 1)), (Fraction(2, 1), Fraction(6, 1)))"
+    )
 
 
 def test_general_position_flag():
@@ -527,6 +592,72 @@ def test_clip_to_hull_shrinks_square():
         assert point_in_convex_polygon(v, tri) >= 0
     gone = clip_polygon_to_hull(sq, [(10, 10), (11, 10), (10, 11)])
     assert gone == []
+
+
+def _affine(poly):
+    return [(F(x, w), F(y, w)) for x, y, w in poly]
+
+
+def _clip_both(poly, cuts):
+    """Clip a homogeneous polygon and its Fraction copy by the same cuts,
+    checking after each cut that the vertex lists agree in order."""
+    fast = [(x, y, 1) for x, y in poly]
+    slow = [(F(x), F(y)) for x, y in poly]
+    for a, b in cuts:
+        fast = clip_polygon_halfplane(fast, a, b)
+        slow = slow_clip_polygon_halfplane(slow, a, b)
+        assert _affine(fast) == slow
+        for x, y, w in fast:
+            assert w > 0 and gcd(x, y, w) == 1
+    return slow
+
+
+def test_clip_homogeneous_degenerate_cuts():
+    sq = [(0, 0), (4, 0), (4, 4), (0, 4)]
+    # through a vertex and across the opposite edge
+    assert _clip_both(sq, [((0, 0), (2, 1))]) == [
+        (F(0), F(0)), (F(4), F(2)), (F(4), F(4)), (F(0), F(4))
+    ]
+    # along an edge, keeping the square / keeping only that edge
+    assert _clip_both(sq, [((0, 0), (4, 0))]) == _affine([(x, y, 1) for x, y in sq])
+    assert _clip_both(sq, [((4, 0), (0, 0))]) == [(F(0), F(0)), (F(4), F(0))]
+    # tangent at a vertex, both ways
+    assert len(_clip_both(sq, [((3, -1), (5, 1))])) == 4
+    assert _clip_both(sq, [((5, 1), (3, -1))]) == [(F(4), F(0))]
+    # to a point, then to nothing
+    assert _clip_both(sq, [((5, 1), (3, -1)), ((0, 0), (1, 0))]) == [(F(4), F(0))]
+    assert _clip_both(sq, [((5, 1), (3, -1)), ((0, 1), (1, 1))]) == []
+    # to a segment, then a cut across it, then one along it, then nothing
+    seg = [((4, 0), (0, 0)), ((3, 0), (3, 1)), ((0, 0), (4, 0)), ((1, 1), (1, 0))]
+    assert _clip_both(sq, seg[:2]) == [(F(0), F(0)), (F(3), F(0))]
+    assert _clip_both(sq, seg[:3]) == [(F(0), F(0)), (F(3), F(0))]
+    assert _clip_both(sq, seg) == [(F(1), F(0)), (F(3), F(0))]
+    assert _clip_both(sq, seg + [((2, -5), (2, 5))]) == [(F(1), F(0)), (F(2), F(0))]
+    assert _clip_both(sq, seg + [((5, 5), (5, -5))]) == []
+    # everything outside at once
+    assert _clip_both(sq, [((0, 10), (1, 10))]) == []
+    assert clip_polygon_halfplane([], (0, 0), (1, 0)) == []
+
+
+def test_clip_homogeneous_returns_untouched_polygon():
+    poly = [(0, 0, 1), (8, 0, 1), (0, 8, 1)]
+    assert clip_polygon_halfplane(poly, (0, 0), (1, 0)) is poly
+    assert clip_polygon_halfplane(poly, (9, 9), (9, 10)) is poly
+
+
+def test_clip_homogeneous_matches_fraction_clipping():
+    rng = random.Random(17)
+    for _ in range(150):
+        lo, hi = -rng.randint(2, 30), rng.randint(2, 30)
+        poly = [(lo, lo), (hi, lo), (hi, hi), (lo, hi)]
+        cuts = []
+        for _ in range(rng.randint(1, 12)):
+            a = (rng.randint(2 * lo, 2 * hi), rng.randint(2 * lo, 2 * hi))
+            b = a
+            while b == a:
+                b = (rng.randint(2 * lo, 2 * hi), rng.randint(2 * lo, 2 * hi))
+            cuts.append((a, b))
+        _clip_both(poly, cuts)
 
 
 def test_integer_coords_scaling():
