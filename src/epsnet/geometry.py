@@ -319,49 +319,17 @@ ConvexBody = Union[HPolytope, SubsetHull]
 # hull membership and polytope intersection (exact LP)
 
 
-def point_in_hull(q: Point, hull: SubsetHull, strict: bool = False) -> bool:
-    """Is q in conv(hull points)?  With ``strict``, in its interior?
-
-    Non-strict membership is feasibility of the convex-combination system.
-    Interior membership maximises a radius r such that all 2d perturbations
-    q +- r e_a stay in the hull: their convex hull is a cross-polytope with
-    center q, so r > 0 iff q is interior.
-    """
+def point_in_hull(q: Point, hull: SubsetHull) -> bool:
+    """Is q in conv(hull points)?  Feasibility of the convex-combination system."""
     pts = hull.points
     d = hull.dim
     q = as_point(q, d)
     m = len(pts)
-    if not strict:
-        cons = []
-        for a in range(d):
-            cons.append(([p[a] for p in pts], "==", q[a]))
-        cons.append(([_ONE] * m, "==", _ONE))
-        return feasible_point(m, cons, nonneg=[True] * m) is not None
-    # variables: lambda[j][i] for each of the 2d perturbed points, plus r
-    nv = 2 * d * m + 1
     cons = []
-    for j in range(2 * d):
-        axis, sgn = divmod(j, 2)
-        delta = _ONE if sgn == 0 else -_ONE
-        base = j * m
-        for a in range(d):
-            row = [_ZERO] * nv
-            for i in range(m):
-                row[base + i] = pts[i][a]
-            if a == axis:
-                row[-1] = -delta
-            cons.append((row, "==", q[a]))
-        row = [_ZERO] * nv
-        for i in range(m):
-            row[base + i] = _ONE
-        cons.append((row, "==", _ONE))
-    row = [_ZERO] * nv
-    row[-1] = _ONE
-    cons.append((row, "<=", _ONE))  # cap r so the LP stays bounded
-    row = [_ZERO] * nv
-    row[-1] = -_ONE
-    cons.append((row, "<", _ZERO))  # r > 0
-    return feasible_point(nv, cons, nonneg=[True] * nv) is not None
+    for a in range(d):
+        cons.append(([p[a] for p in pts], "==", q[a]))
+    cons.append(([_ONE] * m, "==", _ONE))
+    return feasible_point(m, cons, nonneg=[True] * m) is not None
 
 
 def polytopes_intersect(family: Sequence[ConvexBody]) -> Optional[Point]:

@@ -259,7 +259,7 @@ def _candidate_masks(P: PointSet, q: Point) -> tuple[int, ...]:
     boundary passes through q: boundary through q and one point (2D) or two
     points (3D), with points on the boundary resolved by which side an
     infinitesimal rotation sweeps them to.  The returned masks are deduped
-    and sorted by descending popcount; their maxima over intersections give
+    and in :func:`_mask_order`; their maxima over intersections give
     exact avoidance answers (every separable subset is inside some mask,
     and every mask's hull misses q).
     """
@@ -332,7 +332,13 @@ def _candidate_masks(P: PointSet, q: Point) -> tuple[int, ...]:
         raise UnsupportedDimensionError(
             f"exact avoidance oracle supports d <= 3, got d={d}"
         )
-    return tuple(sorted(masks, key=lambda m: -m.bit_count()))
+    return _mask_order(masks)
+
+
+def _mask_order(masks: set[int]) -> tuple[int, ...]:
+    """Masks by descending popcount, equal popcounts by ascending value: an
+    order of the masks alone, whatever order they were found in."""
+    return tuple(sorted(masks, key=lambda m: (-m.bit_count(), m)))
 
 
 def max_subset_avoiding(

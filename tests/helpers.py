@@ -5,8 +5,9 @@ membership uses Caratheodory subsets solved by Gaussian elimination,
 separation enumerates candidate hyperplanes, counting is a naive scan.
 At the end sit the plain versions of optimised kernels (the planar
 general-position check, the planar convex-pair construction with its
-Fraction polygon clipping, the 3D avoidance oracle and the simplex pivot),
-which differential tests hold the library's kernels to, output for output.
+Fraction polygon clipping, the 3D avoidance oracle and the Fraction simplex
+tableau), which differential tests hold the library's kernels to, output
+for output.
 """
 
 from fractions import Fraction as F
@@ -24,7 +25,7 @@ from epsnet.geometry import (
     orient2d,
     point_in_convex_polygon,
 )
-from epsnet.linprog import ONE, ZERO, _Tableau
+from epsnet.linprog import ONE, ZERO
 
 
 # --- exact linear algebra ---------------------------------------------------
@@ -123,25 +124,6 @@ def brute_separating_hyperplane_outside(q, pts):
         if qv > 0 and all(s <= 0 for s in side):
             return True
         if qv < 0 and all(s >= 0 for s in side):
-            return True
-    return False
-
-
-def brute_on_boundary(q, pts):
-    """q on the boundary of a full-dimensional conv(pts): q lies on a
-    supporting hyperplane spanned by d points of pts."""
-    d = len(q)
-    for cand in combinations(pts, d):
-        if affine_rank(cand) != d - 1:
-            continue
-        normal = _normal_of(cand, d)
-        if normal is None:
-            continue
-        off = sum(a * b for a, b in zip(normal, cand[0]))
-        if sum(a * b for a, b in zip(normal, q)) != off:
-            continue
-        side = [sum(a * b for a, b in zip(normal, p)) - off for p in pts]
-        if all(s <= 0 for s in side) or all(s >= 0 for s in side):
             return True
     return False
 
@@ -499,14 +481,94 @@ def slow_candidate_masks_3d(P, q):
                     mask |= 1 << i
         if mask:
             masks.add(mask)
-    return tuple(sorted(masks, key=lambda m: -m.bit_count()))
+    return tuple(sorted(masks, key=lambda m: (-m.bit_count(), m)))
 
 
-# --- the exact simplex, before its zero-skipping pivot ------------------------
+# --- the exact simplex in Fraction arithmetic --------------------------------
 
 
-class DenseTableau(_Tableau):
-    """``linprog._Tableau`` with every entry of every row updated on each
+class FractionTableau:
+    """The simplex tableau in ``Fraction``s: every entry a rational, the
+    pivot row divided by the pivot.  It takes the integer rows ``solve``
+    builds and offers ``linprog._Tableau``'s interface; the integer tableau
+    must match it pivot for pivot and result for result."""
+
+    def __init__(self, rows, rhs, den, basis, ncols):
+        self.rows = [[F(v, d) for v in row] for row, d in zip(rows, den)]
+        self.rhs = [F(b, d) for b, d in zip(rhs, den)]
+        self.basis = basis
+        self.ncols = ncols
+
+    def value(self, r):
+        return self.rhs[r]
+
+    def drop(self, r):
+        del self.rows[r], self.rhs[r], self.basis[r]
+
+    def pivot(self, r, c):
+        rows, rhs = self.rows, self.rhs
+        prow = rows[r]
+        piv = prow[c]
+        if piv != 1:
+            inv = ONE / piv
+            prow = rows[r] = [v * inv if v else v for v in prow]
+            rhs[r] *= inv
+        prhs = rhs[r]
+        for i, row in enumerate(rows):
+            if i == r:
+                continue
+            f = row[c]
+            if f == 0:
+                continue
+            rows[i] = [v - f * p if p else v for v, p in zip(row, prow)]
+            rhs[i] -= f * prhs
+        self.basis[r] = c
+
+    def minimize(self, cost, cden):
+        """Run simplex with Bland's rule on the given cost vector.
+
+        Returns (status, objective value).  The cost vector is reduced
+        against the current basis first.
+        """
+        rows, rhs, basis = self.rows, self.rhs, self.basis
+        red = [F(v, cden) for v in cost]
+        z = ZERO
+        for r, bv in enumerate(basis):
+            f = red[bv]
+            if f != 0:
+                for j, p in enumerate(rows[r]):
+                    if p:
+                        red[j] -= f * p
+                z -= f * rhs[r]
+        while True:
+            enter = -1
+            for j in range(self.ncols):
+                if red[j] < 0:
+                    enter = j
+                    break
+            if enter < 0:
+                return "optimal", -z
+            leave = -1
+            best = None
+            for i in range(len(rows)):
+                a = rows[i][enter]
+                if a > 0:
+                    ratio = rhs[i] / a
+                    if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                        best = ratio
+                        leave = i
+            if leave < 0:
+                return "unbounded", ZERO
+            f = red[enter]
+            self.pivot(leave, enter)
+            for j, p in enumerate(rows[leave]):
+                if p:
+                    red[j] -= f * p
+            z -= f * rhs[leave]
+
+
+class DenseTableau(FractionTableau):
+    """``FractionTableau`` with every entry of every row updated on each
     pivot, zeros included: the reference the zero-skipping pivot must match
     pivot for pivot."""
 
@@ -529,9 +591,9 @@ class DenseTableau(_Tableau):
             rhs[i] -= f * prhs
         self.basis[r] = c
 
-    def minimize(self, cost):
+    def minimize(self, cost, cden):
         rows, rhs, basis = self.rows, self.rhs, self.basis
-        red = list(cost)
+        red = [F(v, cden) for v in cost]
         z = ZERO
         for r, bv in enumerate(basis):
             f = red[bv]

@@ -9,7 +9,7 @@ from epsnet import linprog
 from epsnet.gadgets import certify, gadget_five_clusters, gadget_simplex
 from epsnet.linprog import LPResult, feasible_point, solve
 
-from helpers import DenseTableau
+from helpers import DenseTableau, FractionTableau, solve_unique
 
 
 def test_simple_bounded_max():
@@ -183,29 +183,68 @@ def test_randomized_against_vertex_enumeration(seed):
     assert res.value == best
 
 
-# --- the zero-skipping pivot against the dense one ---------------------------
+# --- the integer tableau against the Fraction ones ---------------------------
 
 
 def _pivots_under(monkeypatch, base, run):
     """run() with linprog._Tableau replaced by a subclass of ``base`` that
-    records every pivot; returns (run's result, the pivot list)."""
+    records every pivot, with the sign of its pivot entry, and every dropped
+    row; returns (run's result, the record)."""
     pivots = []
 
     class Recording(base):
         def pivot(self, r, c):
-            pivots.append((len(self.rows), r, c))
+            pivots.append((len(self.rows), r, c, self.rows[r][c] > 0))
             super().pivot(r, c)
+
+        def drop(self, r):
+            pivots.append(("drop", r))
+            super().drop(r)
 
     with monkeypatch.context() as m:
         m.setattr(linprog, "_Tableau", Recording)
         return run(), pivots
 
 
-def _same_under_both_tableaux(monkeypatch, run):
+def _same_under_all_tableaux(monkeypatch, run):
+    """run()'s result and pivot list under the integer tableau, checked
+    equal to those under the Fraction and the dense Fraction tableaux."""
     fast = _pivots_under(monkeypatch, linprog._Tableau, run)
-    dense = _pivots_under(monkeypatch, DenseTableau, run)
-    assert fast == dense
+    assert fast == _pivots_under(monkeypatch, FractionTableau, run)
+    assert fast == _pivots_under(monkeypatch, DenseTableau, run)
     return fast
+
+
+# bounded LPs, maximised over x >= 0, whose optima have large denominators
+_RATIONAL_LPS = {
+    "coprime-denominators": (
+        [
+            ([F(1, 999983), F(2, 999979), F(3, 999961)], "<=", F(5, 15625)),
+            ([F(7, 999979), F(-1, 64), F(1, 999983)], "<=", F(1, 999961)),
+            ([F(-1, 15625), F(1, 999961), F(4, 999983)], ">=", F(-3, 999979)),
+            ([F(1), F(1), F(1)], "<=", F(1000)),
+        ],
+        [F(3, 999961), F(1, 64), F(-2, 999983)],
+    ),
+    "huge-coefficients": (
+        [
+            ([F(10**12 + 39), F(-(10**12) + 7), F(3)], "<=", F(10**12 + 61)),
+            ([F(2), F(10**12 - 11), F(-(10**12) - 3, 7)], "<=", F(5 * 10**12)),
+            ([F(10**12, 999983), F(1), F(10**12 + 9)], "<=", F(10**12 - 1)),
+            ([F(1), F(1), F(1)], ">=", F(1, 10**12)),
+        ],
+        [F(10**12 - 1), F(10**12 + 1), F(-(10**12))],
+    ),
+    "fractional-optimum": (
+        [([F(3), F(7)], "<=", F(5)), ([F(11), F(2)], "<=", F(13, 3))],
+        [F(2), F(5)],
+    ),
+}
+
+
+def _maximize(lp):
+    cons, obj = lp
+    return solve(len(obj), cons, objective=obj, nonneg=[True] * len(obj), maximize=True)
 
 
 _SYSTEMS = {
@@ -249,13 +288,87 @@ _SYSTEMS = {
     "strict-boundary": lambda: feasible_point(
         1, [([F(1)], "<", F(0)), ([F(-1)], "<=", F(0))]
     ),
+    # phase 1 ends with an artificial basic at zero whose row is negative
+    # in the first column it can pivot on
+    "negative-drive-out": lambda: solve(
+        2,
+        [([F(2), F(-2)], ">=", F(-1)), ([F(-2), F(-1)], ">=", F(1))],
+        objective=[F(2), F(1)],
+        nonneg=[False, True],
+    ),
+    # an all-zero equality row stays artificial and is dropped
+    "redundant-row": lambda: solve(
+        2,
+        [
+            ([F(0), F(0)], "==", F(0)),
+            ([F(0), F(-2)], ">=", F(-1)),
+            ([F(2), F(-2)], "==", F(0)),
+        ],
+        objective=[F(-2), F(-1)],
+        nonneg=[True, True],
+    ),
+    # entering x, both rows have ratio 1: row 1 leaves, because its basic
+    # slack (column 2) precedes row 0's artificial (column 3)
+    "basis-index-tie": lambda: solve(
+        2,
+        [([F(1), F(1)], "==", F(1)), ([F(1), F(0)], "<=", F(1))],
+        objective=[F(1), F(2)],
+        nonneg=[True, True],
+        maximize=True,
+    ),
+    **{name: (lambda lp=lp: _maximize(lp)) for name, lp in _RATIONAL_LPS.items()},
 }
 
 
 @pytest.mark.parametrize("name", sorted(_SYSTEMS))
 def test_sparse_pivot_matches_dense_on_special_systems(monkeypatch, name):
-    _, pivots = _same_under_both_tableaux(monkeypatch, _SYSTEMS[name])
+    _, pivots = _same_under_all_tableaux(monkeypatch, _SYSTEMS[name])
     assert pivots
+
+
+def test_special_systems_reach_their_case(monkeypatch):
+    def record(name):
+        return _pivots_under(monkeypatch, linprog._Tableau, _SYSTEMS[name])
+
+    _, pivots = record("negative-drive-out")
+    assert any(p[-1] is False for p in pivots)
+    _, pivots = record("redundant-row")
+    assert ("drop", 0) in pivots
+    _, pivots = record("basis-index-tie")
+    assert pivots[0] == (2, 1, 0, True)
+    for name in _RATIONAL_LPS:
+        res, _ = record(name)
+        assert res.ok and res.value.denominator > 1, name
+
+
+@pytest.mark.parametrize("name", sorted(_RATIONAL_LPS))
+def test_rational_optimum_matches_vertex_enumeration(name):
+    """The optimum is feasible and equals the best feasible intersection
+    of n of the rows and bounds x >= 0, solved by Gaussian elimination."""
+    import itertools
+
+    cons, obj = _RATIONAL_LPS[name]
+    n = len(obj)
+    res = _maximize(_RATIONAL_LPS[name])
+
+    def feasible(x):
+        return all(v >= 0 for v in x) and all(
+            (lhs <= b if rel == "<=" else lhs >= b)
+            for coeffs, rel, b in cons
+            for lhs in [sum(c * v for c, v in zip(coeffs, x))]
+        )
+
+    assert feasible(res.x)
+    assert res.value == sum(c * v for c, v in zip(obj, res.x))
+    planes = [(coeffs, b) for coeffs, _, b in cons]
+    planes += [([F(int(i == j)) for j in range(n)], F(0)) for i in range(n)]
+    best = None
+    for chosen in itertools.combinations(planes, n):
+        x = solve_unique([c for c, _ in chosen], [b for _, b in chosen])
+        if x is not None and feasible(x):
+            v = sum(c * xi for c, xi in zip(obj, x))
+            best = v if best is None else max(best, v)
+    assert res.value == best
 
 
 def test_sparse_pivot_matches_dense_on_random_lps(monkeypatch):
@@ -270,7 +383,7 @@ def test_sparse_pivot_matches_dense_on_random_lps(monkeypatch):
                 feasible_point(2, [(a, "<", c) for a, _, c in cons]),
             )
 
-        _same_under_both_tableaux(monkeypatch, run)
+        _same_under_all_tableaux(monkeypatch, run)
 
 
 @pytest.mark.parametrize(
@@ -279,5 +392,5 @@ def test_sparse_pivot_matches_dense_on_random_lps(monkeypatch):
 )
 def test_certify_reports_equal_under_both_tableaux(monkeypatch, make):
     instance = make()
-    _, pivots = _same_under_both_tableaux(monkeypatch, lambda: certify(instance))
+    _, pivots = _same_under_all_tableaux(monkeypatch, lambda: certify(instance))
     assert pivots

@@ -314,6 +314,23 @@ def test_3d_oracle_matches_slow_oracle_on_gadget_probes(make):
         assert fast == slow_candidate_masks_3d(instance.pointset, q), q
 
 
+def test_mask_order_does_not_depend_on_insertion_order():
+    """Re-inserting a returned tuple's masks in reverse order into a fresh
+    set gives the same tuple: equal popcounts are ordered by mask value,
+    not by the set's iteration order."""
+    rng = random.Random(78)
+    for _ in range(400):
+        d = rng.choice((2, 3))
+        n = rng.randint(1, 8)
+        P = PointSet(d, [tuple(F(rng.randint(-2, 2)) for _ in range(d)) for _ in range(n)])
+        if rng.random() < 0.3:
+            q = rng.choice(P.points)
+        else:
+            q = tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d))
+        masks = ranges._candidate_masks.__wrapped__(P, q)
+        assert ranges._mask_order(set(reversed(masks))) == masks, (P.points, q)
+
+
 def test_witness_is_sound():
     rng = random.Random(321)
     for _ in range(30):
