@@ -44,8 +44,10 @@ from .ranges import (
     EpsilonProfile,
     RangeSpaceKind,
     WeightedNet,
-    box_regions_avoiding,
-    max_subset_avoiding,
+    _candidate_masks,
+    box_signature,
+    largest_box_avoiding,
+    max_mask_intersection,
 )
 from .svg import render_svg
 from .verification import verify_weighted_net
@@ -287,42 +289,47 @@ def _parse_candidates(P: PointSet, kind: RangeSpaceKind, text: str) -> list[Poin
     raise ValueError(f"unknown candidate family {text!r}")
 
 
-def _largest_box_avoiding(P, avoid, stop_at=None) -> int:
-    """Most points a box missing ``avoid`` holds; stops once >= stop_at."""
-    best = 0
-    for inside in box_regions_avoiding(P, avoid):
-        best = max(best, len(inside))
-        if stop_at is not None and best >= stop_at:
-            break
-    return best
+# per range kind: a candidate's exact integer signature, and the largest
+# range missing the candidates of a list of signatures (stopping once
+# >= stop_at)
+_SEARCH_PRIMITIVES = {
+    RangeSpaceKind.AXIS_PARALLEL_BOXES: (box_signature, largest_box_avoiding),
+    RangeSpaceKind.CONVEX_SETS: (
+        _candidate_masks,
+        lambda P, lists, stop_at=None: max_mask_intersection(lists, stop_at)[0],
+    ),
+}
 
 
-def _search(P, candidates, size, largest):
+def _search(P, kind, candidates, size):
     """Lexicographically smallest (largest range missing the whole net,
     largest range missing some net point) over candidate nets.
 
-    ``largest(P, avoid, stop_at)`` is the range kind's exact avoidance
-    primitive.  Each net's query stops at ``cap``, the smallest first
-    count that can no longer win; for pairs a tie still can, on the
-    second count.
+    Each candidate is reduced once to its signature, and nets are scanned
+    as index tuples on those signatures alone.  Each net's query stops at
+    ``cap``, the smallest first count that can no longer win; for pairs a
+    tie still can, on the second count.
     """
-    best = None  # ((counts...), net)
-    singles: dict[Point, int] = {}
+    signature, largest = _SEARCH_PRIMITIVES[kind]
+    sigs = [signature(P, q) for q in candidates]
+    best = None  # ((counts...), candidate indices)
+    singles: dict[int, int] = {}
 
-    def single(q: Point) -> int:
-        if q not in singles:
-            singles[q] = largest(P, (q,))
-        return singles[q]
+    def single(i: int) -> int:
+        if i not in singles:
+            singles[i] = largest(P, (sigs[i],))
+        return singles[i]
 
-    for net in itertools.combinations_with_replacement(candidates, size):
+    for net in itertools.combinations_with_replacement(range(len(sigs)), size):
         cap = P.n + 1 if best is None else best[0][0] + (1 if size > 1 else 0)
-        first = largest(P, net, cap)
+        first = largest(P, [sigs[i] for i in net], cap)
         if first >= cap:
             continue
         key = (first,) if size == 1 else (first, max(map(single, net)))
         if best is None or key < best[0]:
             best = (key, net)
-    return best
+    key, net = best
+    return key, tuple(candidates[i] for i in net)
 
 
 def cmd_search(args, argv) -> int:
@@ -351,12 +358,7 @@ def cmd_search(args, argv) -> int:
             f" budget {args.budget}; shrink the candidate family",
         }
     else:
-        largest = (
-            _largest_box_avoiding
-            if kind is RangeSpaceKind.AXIS_PARALLEL_BOXES
-            else max_subset_avoiding
-        )
-        counts, net = _search(P, candidates, args.size, largest)
+        counts, net = _search(P, kind, candidates, args.size)
         reference = CONSTRUCTION_EPS1.get((kind, args.size))
         sections["search"] = {
             "ranges": kind.value,

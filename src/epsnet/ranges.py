@@ -18,6 +18,16 @@ largest subset whose hull misses all given points, computed exactly in
 d <= 3 by enumerating canonical separating halfspaces with symbolic
 tie-breaking (a rotating separator keeps boundary points exactly when they
 sit on the half of the boundary it sweeps last).
+
+Both primitives reduce each avoided point once to an exact integer
+signature and then work on integers alone.  For convex sets it is the
+point's tuple of separable-subset bitmasks (``_candidate_masks``), and
+``max_mask_intersection`` intersects one mask per point.  For boxes it is
+the point's place among the sorted coordinates on each axis
+(``box_signature``): in this rank space (Dobkin, Gunopulos & Maass, JCSS
+1996) every input point is its per-axis positions, every region a window of
+positions, and the region scan compares no coordinates.  Search reduces
+each candidate net point once and runs its pair loop on the signatures.
 """
 
 from __future__ import annotations
@@ -143,13 +153,19 @@ class RangeSpaceKind(Enum):
 
 
 @lru_cache(maxsize=64)
-def _axis_orders(P: PointSet) -> tuple[tuple[tuple[Fraction, ...], tuple[int, ...]], ...]:
-    """Per axis: (sorted coordinates, point indices in that order)."""
+def _axis_orders(
+    P: PointSet,
+) -> tuple[tuple[tuple[Fraction, ...], tuple[int, ...], tuple[int, ...]], ...]:
+    """Per axis: (sorted coordinates, point indices in that order, each
+    point's rank: its position in that order)."""
     out = []
     for a in range(P.dim):
         order = sorted(range(P.n), key=lambda i: P.points[i][a])
         coords = tuple(P.points[i][a] for i in order)
-        out.append((coords, tuple(order)))
+        rank = [0] * P.n
+        for pos, i in enumerate(order):
+            rank[i] = pos
+        out.append((coords, tuple(order), tuple(rank)))
     return tuple(out)
 
 
@@ -164,7 +180,7 @@ def count_in_box(P: PointSet, box: BoxRange) -> int:
     orders = _axis_orders(P)
     best_axis, best_span = -1, None
     spans = []
-    for a, (coords, _) in enumerate(orders):
+    for a, (coords, _, _) in enumerate(orders):
         lo, hi = box.intervals[a]
         i = bisect_left(coords, lo)
         j = bisect_right(coords, hi)
@@ -194,6 +210,18 @@ def count_in_box(P: PointSet, box: BoxRange) -> int:
     return cnt
 
 
+def box_signature(P: PointSet, q: Point) -> tuple[tuple[int, int], ...]:
+    """Per axis, q's place among the sorted coordinates of P:
+    ``(bisect_right, bisect_left)``.  A point of rank r on an axis lies
+    strictly above q there iff r >= bisect_right, and strictly below iff
+    r < bisect_left, so these two integers stand in for q's coordinate in
+    every comparison the region scan makes."""
+    return tuple(
+        (bisect_right(coords, q[a]), bisect_left(coords, q[a]))
+        for a, (coords, _, _) in enumerate(_axis_orders(P))
+    )
+
+
 def box_regions_avoiding(P: PointSet, avoid: Sequence[Point]) -> Iterator[list[int]]:
     """Point indices strictly inside each open region dodging every avoided point.
 
@@ -203,40 +231,63 @@ def box_regions_avoiding(P: PointSet, avoid: Sequence[Point]) -> Iterator[list[i
     most points a box missing ``avoid`` can hold, and its points' bounding
     box is such a box.  One list per (axis, side) assignment, in
     ``itertools.product`` order over axes ascending with the lower side
-    first; an empty region yields [].  Each region scans only the narrowest
-    axis slab, found by bisection.
+    first; an empty region yields [].
+
+    The scan runs in rank space: each avoided point becomes its
+    :func:`box_signature` and each input point its per-axis ranks (its
+    position in the axis order, ties kept in index order), so a region is a
+    window of ranks per axis and the scan compares no coordinate.  The
+    tightest bound on an axis is the extreme avoided coordinate, and
+    bisection is monotone, so the window is exactly the slab of sorted
+    positions that bisecting the coordinate bounds selects; points equal to
+    an avoided coordinate fall outside it on both sides, as before.  The
+    assignments, the narrowest axis (ties to the lower axis), the scanned
+    slab and its order are therefore unchanged, and so is every list.
     """
+    return _box_regions_in_ranks(P, [box_signature(P, q) for q in avoid])
+
+
+def _box_regions_in_ranks(
+    P: PointSet, sigs: Sequence[tuple[tuple[int, int], ...]]
+) -> Iterator[list[int]]:
+    """:func:`box_regions_avoiding` for avoided points given by their
+    :func:`box_signature`.  Each region scans only its narrowest rank
+    window."""
     orders = _axis_orders(P)
-    d, n, pts = P.dim, P.n, P.points
+    d, n = P.dim, P.n
     sides = [(a, below) for a in range(d) for below in (True, False)]
-    for assign in itertools.product(sides, repeat=len(avoid)):
-        lo: list[Optional[Fraction]] = [None] * d
-        hi: list[Optional[Fraction]] = [None] * d
-        for q, (a, below) in zip(avoid, assign):
-            v = q[a]
+    for assign in itertools.product(sides, repeat=len(sigs)):
+        lo = [0] * d  # region holds ranks lo[a] <= r < hi[a] on axis a
+        hi = [n] * d
+        for sig, (a, below) in zip(sigs, assign):
             if below:
-                if hi[a] is None or v < hi[a]:
-                    hi[a] = v
-            elif lo[a] is None or v > lo[a]:
-                lo[a] = v
-        windows = []
-        for a, (coords, _) in enumerate(orders):
-            i = 0 if lo[a] is None else bisect_right(coords, lo[a])
-            j = n if hi[a] is None else bisect_left(coords, hi[a])
-            windows.append((j - i, a, i, j))
-        _, axis, i, j = min(windows)
-        others = [a for a in range(d) if a != axis]
-        inside = []
-        for idx in orders[axis][1][i:j]:  # an empty region has j <= i
-            p = pts[idx]
-            for a in others:
-                if (lo[a] is not None and p[a] <= lo[a]) or (
-                    hi[a] is not None and p[a] >= hi[a]
-                ):
-                    break
-            else:
-                inside.append(idx)
+                if sig[a][1] < hi[a]:
+                    hi[a] = sig[a][1]
+            elif sig[a][0] > lo[a]:
+                lo[a] = sig[a][0]
+        axis = min(range(d), key=lambda a: hi[a] - lo[a])
+        inside = list(orders[axis][1][lo[axis]:hi[axis]])  # [] if empty
+        for a in range(d):
+            if a != axis and inside:
+                rank, l, h = orders[a][2], lo[a], hi[a]
+                inside = [idx for idx in inside if l <= rank[idx] < h]
         yield inside
+
+
+def largest_box_avoiding(
+    P: PointSet,
+    sigs: Sequence[tuple[tuple[int, int], ...]],
+    stop_at: Optional[int] = None,
+) -> int:
+    """Most points a box missing the points with these signatures holds;
+    returns early once that is at least ``stop_at``."""
+    best = 0
+    for inside in _box_regions_in_ranks(P, sigs):
+        if len(inside) > best:
+            best = len(inside)
+            if stop_at is not None and best >= stop_at:
+                break
+    return best
 
 
 def minimal_convex_ranges(P: PointSet, t: int) -> Iterator[SubsetHull]:
@@ -364,32 +415,50 @@ def max_subset_avoiding_witness(
         q = as_point(q, P.dim)
         if q not in seen:
             seen.append(q)
-    lists = [_candidate_masks(P, q) for q in seen]
-    if any(not lst for lst in lists):
-        return 0, ()
+    size, mask = max_mask_intersection(
+        [_candidate_masks(P, q) for q in seen], stop_at
+    )
+    return size, tuple(i for i in range(P.n) if mask >> i & 1)
+
+
+def max_mask_intersection(
+    lists: Sequence[Sequence[int]], stop_at: Optional[int] = None
+) -> tuple[int, int]:
+    """Largest intersection taking one mask from each list, as
+    ``(popcount, mask)``.
+
+    With the lists of :func:`_candidate_masks` this is the largest subset
+    whose hull misses every avoided point: a subset misses one point iff it
+    lies in one of that point's masks.  Each list must be in
+    :func:`_mask_order`; the first largest intersection in the depth-first
+    order wins.  An empty list (a point no subset avoids) gives ``(0, 0)``;
+    ``stop_at`` returns early once a size at least that large is found.
+    """
+    if not lists:
+        raise ValueError("need one mask list per avoided point")
+    if not all(lists):
+        return 0, 0
     best = 0
     best_mask = 0
+    last = len(lists) - 1
 
     def descend(level: int, mask: int) -> bool:
         nonlocal best, best_mask
-        if level == len(lists):
-            size = mask.bit_count()
-            if size > best:
-                best, best_mask = size, mask
-                if stop_at is not None and best >= stop_at:
-                    return True
-            return False
         for m in lists[level]:
             if m.bit_count() <= best:
                 break  # masks sorted by popcount: nothing below can beat best
             inter = mask & m
-            if inter.bit_count() <= best:
+            size = inter.bit_count()
+            if size <= best:
                 continue
-            if descend(level + 1, inter):
+            if level < last:
+                if descend(level + 1, inter):
+                    return True
+                continue
+            best, best_mask = size, inter
+            if stop_at is not None and best >= stop_at:
                 return True
         return False
 
-    full = (1 << P.n) - 1
-    descend(0, full)
-    indices = tuple(i for i in range(P.n) if best_mask >> i & 1)
-    return best, indices
+    descend(0, -1)  # -1 has every bit set
+    return best, best_mask

@@ -5,13 +5,14 @@ membership uses Caratheodory subsets solved by Gaussian elimination,
 separation enumerates candidate hyperplanes, counting is a naive scan.
 At the end sit the plain versions of optimised kernels (the planar
 general-position check, the planar convex-pair construction with its
-Fraction polygon clipping, the 3D avoidance oracle and the Fraction simplex
-tableau), which differential tests hold the library's kernels to, output
-for output.
+Fraction polygon clipping, the 3D avoidance oracle, the Fraction simplex
+tableau, the Fraction box region scan and the search over points), which
+differential tests hold the library's kernels to, output for output.
 """
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 import random
 
@@ -20,12 +21,14 @@ from epsnet.errors import ConstructionFailureError, DegenerateInputError
 from epsnet.geometry import (
     PointSet,
     _det,
+    as_point,
     common_integer_coords,
     integer_coords,
     orient2d,
     point_in_convex_polygon,
 )
 from epsnet.linprog import ONE, ZERO
+from epsnet.ranges import RangeSpaceKind, _candidate_masks
 
 
 # --- exact linear algebra ---------------------------------------------------
@@ -627,3 +630,130 @@ class DenseTableau(FractionTableau):
             for j in range(self.ncols):
                 red[j] -= f * prow[j]
             z -= f * rhs[leave]
+
+
+# --- box regions and search on Fraction coordinates --------------------------
+
+
+def _slow_axis_orders(P):
+    """Per axis: (sorted coordinates, point indices in that order)."""
+    out = []
+    for a in range(P.dim):
+        order = sorted(range(P.n), key=lambda i: P.points[i][a])
+        coords = tuple(P.points[i][a] for i in order)
+        out.append((coords, tuple(order)))
+    return tuple(out)
+
+
+def slow_box_regions_avoiding(P, avoid):
+    """``ranges.box_regions_avoiding`` on Fraction coordinates, bisecting
+    each region's bounds: the reference the rank-space scan must match list
+    for list, in order."""
+    orders = _slow_axis_orders(P)
+    d, n, pts = P.dim, P.n, P.points
+    sides = [(a, below) for a in range(d) for below in (True, False)]
+    for assign in product(sides, repeat=len(avoid)):
+        lo = [None] * d
+        hi = [None] * d
+        for q, (a, below) in zip(avoid, assign):
+            v = q[a]
+            if below:
+                if hi[a] is None or v < hi[a]:
+                    hi[a] = v
+            elif lo[a] is None or v > lo[a]:
+                lo[a] = v
+        windows = []
+        for a, (coords, _) in enumerate(orders):
+            i = 0 if lo[a] is None else bisect_right(coords, lo[a])
+            j = n if hi[a] is None else bisect_left(coords, hi[a])
+            windows.append((j - i, a, i, j))
+        _, axis, i, j = min(windows)
+        others = [a for a in range(d) if a != axis]
+        inside = []
+        for idx in orders[axis][1][i:j]:  # an empty region has j <= i
+            p = pts[idx]
+            for a in others:
+                if (lo[a] is not None and p[a] <= lo[a]) or (
+                    hi[a] is not None and p[a] >= hi[a]
+                ):
+                    break
+            else:
+                inside.append(idx)
+        yield inside
+
+
+def slow_largest_box_avoiding(P, avoid, stop_at=None):
+    """Most points a box missing ``avoid`` holds; stops once >= stop_at."""
+    best = 0
+    for inside in slow_box_regions_avoiding(P, avoid):
+        best = max(best, len(inside))
+        if stop_at is not None and best >= stop_at:
+            break
+    return best
+
+
+def slow_max_subset_avoiding_witness(P, avoid, stop_at=None):
+    """``ranges.max_subset_avoiding_witness`` with the mask descent inline,
+    recursing to a leaf per full intersection from the all-points mask."""
+    if not avoid:
+        raise ValueError("avoid list must be non-empty")
+    seen = []
+    for q in avoid:
+        q = as_point(q, P.dim)
+        if q not in seen:
+            seen.append(q)
+    lists = [_candidate_masks(P, q) for q in seen]
+    if any(not lst for lst in lists):
+        return 0, ()
+    best = 0
+    best_mask = 0
+
+    def descend(level, mask):
+        nonlocal best, best_mask
+        if level == len(lists):
+            size = mask.bit_count()
+            if size > best:
+                best, best_mask = size, mask
+                if stop_at is not None and best >= stop_at:
+                    return True
+            return False
+        for m in lists[level]:
+            if m.bit_count() <= best:
+                break
+            inter = mask & m
+            if inter.bit_count() <= best:
+                continue
+            if descend(level + 1, inter):
+                return True
+        return False
+
+    descend(0, (1 << P.n) - 1)
+    return best, tuple(i for i in range(P.n) if best_mask >> i & 1)
+
+
+def slow_search(P, kind, candidates, size):
+    """``cli._search`` over candidate points: each net's query takes the
+    points themselves, singles are cached by point, and the avoidance
+    answers come from the two functions above."""
+    if kind is RangeSpaceKind.AXIS_PARALLEL_BOXES:
+        largest = slow_largest_box_avoiding
+    else:
+        def largest(P, avoid, stop_at=None):
+            return slow_max_subset_avoiding_witness(P, avoid, stop_at)[0]
+    best = None  # ((counts...), net)
+    singles = {}
+
+    def single(q):
+        if q not in singles:
+            singles[q] = largest(P, (q,))
+        return singles[q]
+
+    for net in combinations_with_replacement(candidates, size):
+        cap = P.n + 1 if best is None else best[0][0] + (1 if size > 1 else 0)
+        first = largest(P, net, cap)
+        if first >= cap:
+            continue
+        key = (first,) if size == 1 else (first, max(map(single, net)))
+        if best is None or key < best[0]:
+            best = (key, net)
+    return best

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import epsnet
-from epsnet.cli import exit_code_for, main
+from epsnet.cli import _parse_candidates, _search, exit_code_for, main
 from epsnet.geometry import PointSet, hull2d, integer_coords, point_in_convex_polygon
 from epsnet.io_formats import (
     json_to_fraction,
@@ -20,13 +21,14 @@ from epsnet.io_formats import (
     validate_report,
     write_pointset,
 )
-from epsnet.ranges import EpsilonProfile, WeightedNet
+from epsnet.ranges import EpsilonProfile, RangeSpaceKind, WeightedNet
 
 from helpers import (
     REPEATED_11,
     brute_max_box_count,
     brute_max_subset_avoiding_2d,
     brute_verify_boxes,
+    slow_search,
     subset_box_counts,
 )
 
@@ -363,6 +365,30 @@ def test_search_matches_bruteforce(workspace, capsys, kind, family, size):
             assert largest(avoid) == brute_max_box_count(boxes, avoid)
         else:
             assert largest(avoid) == brute_max_subset_avoiding_2d(P, avoid)
+
+
+@pytest.mark.parametrize("size", [1, 2])
+@pytest.mark.parametrize("kind", ["boxes", "convex"])
+@pytest.mark.parametrize("family", ["grid:3", "arrangement"])
+def test_search_matches_slow_search(kind, family, size):
+    """The search on candidate signatures picks the same (counts, net) as
+    the search that queried every net by its points, on random small sets;
+    box inputs repeat coordinates and points."""
+    rng = random.Random(f"{kind}:{family}:{size}")
+    kind = RangeSpaceKind.parse(kind)
+    for _ in range(8):
+        if kind is RangeSpaceKind.AXIS_PARALLEL_BOXES:
+            n, span = rng.randint(2, 8), 3
+        else:
+            n, span = rng.randint(3, 6), 6
+        pts = [(F(rng.randint(0, span)), F(rng.randint(0, span))) for _ in range(n)]
+        if kind is RangeSpaceKind.AXIS_PARALLEL_BOXES and n > 3:
+            pts[-1] = pts[0]
+        P = PointSet(2, tuple(pts))
+        candidates = _parse_candidates(P, kind, family)
+        assert _search(P, kind, candidates, size) == slow_search(
+            P, kind, candidates, size
+        ), (pts, family)
 
 
 def test_search_grid_refinement_is_monotone(workspace, capsys):

@@ -20,7 +20,10 @@ from epsnet.ranges import (
     RangeSpaceKind,
     WeightedNet,
     box_regions_avoiding,
+    box_signature,
     count_in_box,
+    largest_box_avoiding,
+    max_mask_intersection,
     max_subset_avoiding,
     max_subset_avoiding_witness,
     minimal_convex_ranges,
@@ -31,7 +34,10 @@ from helpers import (
     brute_max_box_count,
     naive_count_in_box,
     random_pointset,
+    slow_box_regions_avoiding,
     slow_candidate_masks_3d,
+    slow_largest_box_avoiding,
+    slow_max_subset_avoiding_witness,
     subset_box_counts,
 )
 
@@ -150,6 +156,58 @@ def test_box_regions_avoiding_order():
     q = (F(1), F(1))
     assert list(box_regions_avoiding(P, [q])) == [[0], [1], [0], [2]]
     assert list(box_regions_avoiding(P, [q, q]))[1] == []  # x < 1 and x > 1
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_box_regions_avoiding_matches_slow(d):
+    """The rank-space scan yields the Fraction scan's lists, in order, on
+    repeated coordinates and duplicate points, avoiding input points, points
+    sharing a coordinate with one, half-integer points, and repeated avoided
+    points."""
+    rng = random.Random(90 + d)
+    empty = 0
+    for trial in range(60):
+        n = rng.randint(1, 9)
+        pts = [tuple(F(rng.randint(0, 3)) for _ in range(d)) for _ in range(n)]
+        if n > 2:
+            pts[-1] = pts[0]
+        P = PointSet(d, tuple(pts))
+        pool = list(P.points)
+        pool += [tuple(rng.choice(pts)[a] for a in range(d)) for _ in range(4)]
+        pool += [
+            tuple(rng.choice(pts)[a] if a else F(rng.randint(-1, 8), 2) for a in range(d))
+            for _ in range(3)
+        ]
+        pool += [tuple(F(rng.randint(-1, 8), 2) for _ in range(d)) for _ in range(3)]
+        for m in (1, 2, 3):
+            avoid = [rng.choice(pool) for _ in range(m)]
+            if m > 1 and trial % 3 == 0:
+                avoid[-1] = avoid[0]
+            fast = list(box_regions_avoiding(P, avoid))
+            assert fast == list(slow_box_regions_avoiding(P, avoid)), (P.points, avoid)
+            empty += fast.count([])
+            sigs = [box_signature(P, q) for q in avoid]
+            for stop_at in (None, 1, 3):
+                got = largest_box_avoiding(P, sigs, stop_at)
+                want = slow_largest_box_avoiding(P, avoid, stop_at)
+                if stop_at is None or want < stop_at:
+                    assert got == want
+                else:
+                    assert got >= stop_at
+    assert empty > 0
+
+
+def test_box_signature_is_rank_comparison():
+    """q's signature decides strict above / below by rank alone."""
+    P = P2((1, 5), (3, 5), (3, 2), (1, 2), (2, 7))
+    for q in [(F(3), F(5)), (F(2), F(9)), (F(0), F(2)), (F(5, 2), F(2))]:
+        sig = box_signature(P, q)
+        for a in range(2):
+            rank = ranges._axis_orders(P)[a][2]
+            right, left = sig[a]
+            for i, p in enumerate(P.points):
+                assert (rank[i] >= right) == (p[a] > q[a])
+                assert (rank[i] < left) == (p[a] < q[a])
 
 
 # --- minimal convex ranges -----------------------------------------------------
@@ -349,3 +407,72 @@ def test_avoid_requires_points():
     ps = P2((0, 0), (1, 1))
     with pytest.raises(ValueError):
         max_subset_avoiding(ps, [])
+
+
+# --- the mask descent ----------------------------------------------------------
+
+
+def test_mask_intersection_empty_list():
+    """A point no subset avoids has no masks, and nothing avoids it."""
+    assert max_mask_intersection([()]) == (0, 0)
+    assert max_mask_intersection([(0b11, 0b01), ()]) == (0, 0)
+    ps = P2((1, 1), (1, 1), (1, 1))
+    assert ranges._candidate_masks(ps, (F(1), F(1))) == ()
+    assert max_subset_avoiding_witness(ps, [(F(1), F(1))]) == (0, ())
+    with pytest.raises(ValueError):
+        max_mask_intersection([])
+
+
+def _random_avoid_instances(seed, trials):
+    rng = random.Random(seed)
+    for _ in range(trials):
+        d = rng.choice((1, 2, 3))
+        n = rng.randint(1, 8)
+        P = PointSet(d, [tuple(F(rng.randint(-3, 3)) for _ in range(d)) for _ in range(n)])
+        pool = list(P.points) + [
+            tuple(F(rng.randint(-6, 6), rng.randint(1, 2)) for _ in range(d))
+            for _ in range(4)
+        ]
+        yield P, [rng.choice(pool) for _ in range(rng.randint(1, 3))]
+
+
+def test_mask_intersection_stop_at():
+    for P, avoid in _random_avoid_instances(61, 150):
+        lists = [ranges._candidate_masks(P, q) for q in avoid]
+        full, mask = max_mask_intersection(lists)
+        assert mask.bit_count() == full
+        for stop_at in range(1, P.n + 2):
+            early, mask = max_mask_intersection(lists, stop_at)
+            assert mask.bit_count() == early
+            if full >= stop_at:
+                assert stop_at <= early <= full
+            else:
+                assert early == full
+
+
+def test_mask_intersection_repeated_point():
+    for P, avoid in _random_avoid_instances(62, 150):
+        lists = [ranges._candidate_masks(P, q) for q in avoid]
+        size = max_mask_intersection(lists)[0]
+        assert max_mask_intersection(lists + lists[:1])[0] == size
+        assert max_mask_intersection(lists[:1] * 2)[0] == max_mask_intersection(lists[:1])[0]
+        assert max_subset_avoiding(P, avoid + avoid[:1]) == size
+
+
+def test_witness_matches_slow_descent():
+    """On test_witness_is_sound's instances and on random degenerate ones,
+    the split-out descent returns the same (size, indices) as the descent
+    it replaced, with and without early stops."""
+    rng = random.Random(321)
+    for _ in range(30):
+        n = rng.randint(3, 8)
+        ps = random_pointset(rng, n, 2, lo=-8, hi=8, distinct=False)
+        avoid = [tuple(F(rng.randint(-8, 8)) for _ in range(2)) for _ in range(2)]
+        for stop_at in (None, 1, 3):
+            assert max_subset_avoiding_witness(ps, avoid, stop_at) == (
+                slow_max_subset_avoiding_witness(ps, avoid, stop_at)
+            )
+    for P, avoid in _random_avoid_instances(63, 150):
+        assert max_subset_avoiding_witness(P, avoid) == (
+            slow_max_subset_avoiding_witness(P, avoid)
+        )
