@@ -15,6 +15,7 @@ import itertools
 import sys
 import time
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 from .constructions import (
@@ -25,7 +26,7 @@ from .constructions import (
 )
 from .errors import BudgetExceededError, EpsnetError
 from .gadgets import GADGETS, certify
-from .geometry import Point, PointSet
+from .geometry import Point, PointSet, integer_coords
 from .io_formats import (
     claims_document,
     certification_to_json,
@@ -234,22 +235,16 @@ def cmd_gadget(args, argv) -> int:
 # search
 
 
-def _line_through(a: Point, b: Point):
-    # A x + B y = C, normalized for dedup
-    A = b[1] - a[1]
-    B = a[0] - b[0]
-    C = A * a[0] + B * a[1]
-    for lead in (A, B):
-        if lead != 0:
-            return (A / lead, B / lead, C / lead)
-    raise ValueError("coincident points")
-
-
 def _arrangement_candidates(P: PointSet, kind: RangeSpaceKind) -> list[Point]:
     """Vertices of the arrangement the point set induces.
 
     Convex ranges use the lines through point pairs; box ranges use the
-    axis-parallel grid of input coordinates.
+    axis-parallel grid of input coordinates.  Lines and crossings are
+    computed on P's integer coordinates: each line as its reduced integer
+    ``A x + B y = C`` (first nonzero of A, B positive), each crossing as
+    its reduced homogeneous triple ``(x, y, w)`` with w > 0, so equal
+    points have equal triples and ``Fraction``s are built only for the
+    distinct crossings that are not input points.
     """
     pts = set(P.points)
     if kind is RangeSpaceKind.AXIS_PARALLEL_BOXES:
@@ -257,17 +252,28 @@ def _arrangement_candidates(P: PointSet, kind: RangeSpaceKind) -> list[Point]:
         ys = sorted({p[1] for p in P.points})
         pts.update((x, y) for x in xs for y in ys)
         return sorted(pts)
+    scale, ipts = integer_coords(P)
     lines = set()
-    for a, b in itertools.combinations(P.points, 2):
-        if a != b:
-            lines.add(_line_through(a, b))
-    for (a1, b1, c1), (a2, b2, c2) in itertools.combinations(sorted(lines), 2):
-        det = a1 * b2 - a2 * b1
-        if det == 0:
-            continue
-        x = (c1 * b2 - c2 * b1) / det
-        y = (a1 * c2 - a2 * c1) / det
-        pts.add((x, y))
+    for (ax, ay), (bx, by) in itertools.combinations(ipts, 2):
+        A, B = by - ay, ax - bx
+        if A or B:
+            C = A * ax + B * ay
+            g = gcd(A, B, C)
+            if A < 0 or (A == 0 and B < 0):
+                g = -g
+            lines.add((A // g, B // g, C // g))
+    crossings = set()
+    for (a1, b1, c1), (a2, b2, c2) in itertools.combinations(lines, 2):
+        w = a1 * b2 - a2 * b1
+        if w:
+            x = c1 * b2 - c2 * b1
+            y = a1 * c2 - a2 * c1
+            g = gcd(x, y, w) if w > 0 else -gcd(x, y, w)
+            crossings.add((x // g, y // g, w // g))
+    crossings.difference_update((x, y, 1) for x, y in ipts)
+    pts.update(
+        (Fraction(x, w * scale), Fraction(y, w * scale)) for x, y, w in crossings
+    )
     return sorted(pts)
 
 

@@ -10,6 +10,16 @@ beat.  Counting claims pin each witness cardinality exactly at its
 threshold, intersection and piercing claims capture the geometric
 obstruction, and oracle threshold claims corroborate the continuum
 statement on a deterministic sample of candidate point pairs.
+
+An oracle threshold claim settles each probe strictly outside conv(P)
+without the avoidance oracle.  Such a probe is strictly separable from all
+of P, so its first oracle mask is the full one, and the largest subset
+avoiding it and another probe is the largest avoiding the other probe
+alone, the same size whether or not the query stops early.  The test is
+exact: integer supporting hyperplanes through d points of P, computed once
+per claim, and a strict comparison, so probes on the hull's boundary still
+go to the oracle.  The sample and every verdict are those of querying the
+oracle on every pair.
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd, lcm
 from random import Random
 from typing import Optional, Sequence
 
@@ -29,10 +40,12 @@ from .geometry import (
     Point,
     PointSet,
     SubsetHull,
+    _det,
     as_point,
     centroid,
     frac,
     hull2d,
+    integer_coords,
     point_in_hull,
     polytopes_intersect,
 )
@@ -219,12 +232,69 @@ def _check_not_two_pierceable(instance, claim) -> ClaimResult:
     )
 
 
+def _hull_facets(P: PointSet) -> list[tuple[tuple[int, ...], int]]:
+    """Integer ``(normal, offset)`` with ``normal . x <= offset`` for every
+    point of P, one per supporting hyperplane through d points of P.
+
+    Each d-subset with a nonzero normal (the cofactors of its difference
+    vectors) spans a hyperplane.  It is kept, oriented with P on its closed
+    side, when all of P lies on one closed side of it; when all of P lies
+    on it, both orientations are kept.  A full-dimensional P yields its
+    facets, a flat P the hyperplanes through its span, and either way a
+    point strictly beyond one of them lies outside conv(P).  Normals act on
+    the original coordinates: the scale of ``integer_coords`` is folded
+    into them.  O(C(n, d) * n).
+    """
+    d = P.dim
+    scale, ipts = integer_coords(P)
+    out = set()
+    for idx in itertools.combinations(range(P.n), d):
+        base = ipts[idx[0]]
+        rows = [[ipts[i][j] - base[j] for j in range(d)] for i in idx[1:]]
+        normal = [
+            (-1) ** j * (_det([r[:j] + r[j + 1:] for r in rows]) if rows else 1)
+            for j in range(d)
+        ]
+        if not any(normal):
+            continue
+        offset = sum(a * b for a, b in zip(normal, base))
+        values = [sum(a * b for a, b in zip(normal, p)) for p in ipts]
+        for sign in (1, -1):
+            if all(sign * (v - offset) <= 0 for v in values):
+                g = gcd(*normal, offset) * sign
+                out.add((tuple(a * scale // g for a in normal), offset // g))
+    return sorted(out)
+
+
+def _outside(facets: Sequence[tuple[tuple[int, ...], int]], q: Point) -> bool:
+    """Whether q lies strictly beyond one of the hull facets."""
+    den = lcm(*(c.denominator for c in q))
+    iq = [c.numerator * (den // c.denominator) for c in q]
+    for normal, offset in facets:
+        if sum(a * b for a, b in zip(normal, iq)) > offset * den:
+            return True
+    return False
+
+
 def _check_oracle_threshold(instance, claim) -> ClaimResult:
+    """Every sampled pair leaves at least ``threshold`` points whose hull
+    misses both probes.
+
+    A probe strictly outside conv(P) is dropped before the oracle query:
+    its first oracle mask is the full one, so ``max_subset_avoiding``
+    returns the same size with or without it, ``stop_at`` included.  A
+    pair with neither probe kept leaves all ``P.n`` points.  The outside
+    test is strict, so probes on a facet, edge or vertex are kept.
+    """
+    P = instance.pointset
     pairs = threshold_probe_pairs(instance, claim.trials, claim.seed)
+    facets = _hull_facets(P)
     for p1, p2 in pairs:
-        size = max_subset_avoiding(
-            instance.pointset, [p1, p2], stop_at=claim.threshold
-        )
+        kept = [q for q in (p1, p2) if not _outside(facets, q)]
+        if kept:
+            size = max_subset_avoiding(P, kept, stop_at=claim.threshold)
+        else:
+            size = P.n
         if size < claim.threshold:
             return ClaimResult(
                 claim,
@@ -288,12 +358,19 @@ def threshold_probe_pairs(
             add(centroid(body.points))
     pairs = list(itertools.combinations_with_replacement(structured, 2))
     rnd = Random(seed)
-    bounds = instance.pointset.bounding_box()
+    # coordinate lo + (hi - lo) * r / _PROBE_GRID, as one integer fraction
+    # (lo * G + (hi - lo) * r) / G with G = scale * _PROBE_GRID
+    axes = []
+    for lo, hi in instance.pointset.bounding_box():
+        scale = lcm(lo.denominator, hi.denominator)
+        ilo = lo.numerator * (scale // lo.denominator)
+        ihi = hi.numerator * (scale // hi.denominator)
+        axes.append((ilo * _PROBE_GRID, ihi - ilo, scale * _PROBE_GRID))
 
     def lattice_point() -> Point:
         return tuple(
-            lo + (hi - lo) * Fraction(rnd.randrange(_PROBE_GRID + 1), _PROBE_GRID)
-            for lo, hi in bounds
+            Fraction(base + span * rnd.randrange(_PROBE_GRID + 1), grid)
+            for base, span, grid in axes
         )
 
     while len(pairs) < trials:

@@ -6,8 +6,10 @@ separation enumerates candidate hyperplanes, counting is a naive scan.
 At the end sit the plain versions of optimised kernels (the planar
 general-position check, the planar convex-pair construction with its
 Fraction polygon clipping, the 3D avoidance oracle, the Fraction simplex
-tableau, the Fraction box region scan and the search over points), which
-differential tests hold the library's kernels to, output for output.
+tableau, the Fraction box region scan, the search over points, the Fraction
+arrangement vertices, the Fraction probe lattice and the oracle-threshold
+check that queries every pair), which differential tests hold the library's
+kernels to, output for output.
 """
 
 from bisect import bisect_left, bisect_right
@@ -18,17 +20,20 @@ import random
 
 from epsnet.constructions import _count_small_side
 from epsnet.errors import ConstructionFailureError, DegenerateInputError
+from epsnet.gadgets import _PROBE_GRID, ClaimResult, _fmt
 from epsnet.geometry import (
     PointSet,
+    SubsetHull,
     _det,
     as_point,
+    centroid,
     common_integer_coords,
     integer_coords,
     orient2d,
     point_in_convex_polygon,
 )
 from epsnet.linprog import ONE, ZERO
-from epsnet.ranges import RangeSpaceKind, _candidate_masks
+from epsnet.ranges import RangeSpaceKind, _candidate_masks, max_subset_avoiding
 
 
 # --- exact linear algebra ---------------------------------------------------
@@ -757,3 +762,86 @@ def slow_search(P, kind, candidates, size):
         if best is None or key < best[0]:
             best = (key, net)
     return best
+
+
+def _line_through(a, b):
+    # A x + B y = C, normalized for dedup
+    A = b[1] - a[1]
+    B = a[0] - b[0]
+    C = A * a[0] + B * a[1]
+    for lead in (A, B):
+        if lead != 0:
+            return (A / lead, B / lead, C / lead)
+    raise ValueError("coincident points")
+
+
+def slow_arrangement_candidates(P):
+    """``cli._arrangement_candidates`` for convex ranges in ``Fraction``
+    arithmetic: every line through two distinct points, normalized by its
+    leading coefficient, and every crossing of two of them."""
+    pts = set(P.points)
+    lines = set()
+    for a, b in combinations(P.points, 2):
+        if a != b:
+            lines.add(_line_through(a, b))
+    for (a1, b1, c1), (a2, b2, c2) in combinations(sorted(lines), 2):
+        det = a1 * b2 - a2 * b1
+        if det == 0:
+            continue
+        x = (c1 * b2 - c2 * b1) / det
+        y = (a1 * c2 - a2 * c1) / det
+        pts.add((x, y))
+    return sorted(pts)
+
+
+def slow_threshold_probe_pairs(instance, trials, seed):
+    """``gadgets.threshold_probe_pairs`` with each lattice coordinate
+    computed as ``lo + (hi - lo) * Fraction(r, grid)``."""
+    structured = []
+    seen = set()
+
+    def add(q):
+        if q not in seen:
+            seen.add(q)
+            structured.append(q)
+
+    for p in instance.pointset:
+        add(p)
+    for a, b in combinations(instance.pointset.points, 2):
+        add(tuple((x + y) / 2 for x, y in zip(a, b)))
+    for body in instance.witnesses.values():
+        if isinstance(body, SubsetHull):
+            add(centroid(body.points))
+    pairs = list(combinations_with_replacement(structured, 2))
+    rnd = random.Random(seed)
+    bounds = instance.pointset.bounding_box()
+
+    def lattice_point():
+        return tuple(
+            lo + (hi - lo) * F(rnd.randrange(_PROBE_GRID + 1), _PROBE_GRID)
+            for lo, hi in bounds
+        )
+
+    while len(pairs) < trials:
+        pairs.append((lattice_point(), lattice_point()))
+    return pairs
+
+
+def slow_check_oracle_threshold(instance, claim):
+    """``gadgets._check_oracle_threshold`` querying the oracle on every
+    pair of the sample, probes outside the hull included."""
+    pairs = slow_threshold_probe_pairs(instance, claim.trials, claim.seed)
+    for p1, p2 in pairs:
+        size = max_subset_avoiding(
+            instance.pointset, [p1, p2], stop_at=claim.threshold
+        )
+        if size < claim.threshold:
+            return ClaimResult(
+                claim,
+                False,
+                f"only {size} avoid {_fmt(p1)} and {_fmt(p2)}"
+                f" (needed {claim.threshold})",
+            )
+    return ClaimResult(
+        claim, True, f"threshold {claim.threshold} met on {len(pairs)} pairs"
+    )

@@ -13,7 +13,13 @@ from pathlib import Path
 import pytest
 
 import epsnet
-from epsnet.cli import _parse_candidates, _search, exit_code_for, main
+from epsnet.cli import (
+    _arrangement_candidates,
+    _parse_candidates,
+    _search,
+    exit_code_for,
+    main,
+)
 from epsnet.geometry import PointSet, hull2d, integer_coords, point_in_convex_polygon
 from epsnet.io_formats import (
     json_to_fraction,
@@ -28,6 +34,7 @@ from helpers import (
     brute_max_box_count,
     brute_max_subset_avoiding_2d,
     brute_verify_boxes,
+    slow_arrangement_candidates,
     slow_search,
     subset_box_counts,
 )
@@ -389,6 +396,45 @@ def test_search_matches_slow_search(kind, family, size):
         assert _search(P, kind, candidates, size) == slow_search(
             P, kind, candidates, size
         ), (pts, family)
+
+
+ARRANGEMENT_SETS = {
+    "general-position": [(0, 0), (7, 1), (2, 9), (11, 6), (5, 4), (9, 13)],
+    "collinear-triples": [(0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (3, 0), (1, 2)],
+    "parallel-lines": [(0, 0), (4, 0), (0, 2), (4, 2), (1, 5), (5, 5), (2, -3)],
+    "duplicate-points": [(0, 0), (3, 1), (0, 0), (1, 4), (3, 1), (5, 5)],
+    "mixed-denominators": [
+        (F(1, 2), F(1, 3)), (F(3, 4), F(2, 3)), (0, 0), (1, 1), (2, 2),
+        (F(5, 6), F(-1, 5)), (F(7, 3), F(1, 7)), (F(-9, 10), F(4, 9)),
+    ],
+    "two-points": [(1, 2), (F(7, 2), -1)],
+    "one-point-repeated": [(F(1, 3), 2), (F(1, 3), 2)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRANGEMENT_SETS))
+def test_arrangement_candidates_match_fraction_reference(name):
+    """The integer line crossings give the same candidate list, in the same
+    order, as the Fraction construction."""
+    P = PointSet(2, tuple(ARRANGEMENT_SETS[name]))
+    got = _arrangement_candidates(P, RangeSpaceKind.CONVEX_SETS)
+    assert got == slow_arrangement_candidates(P)
+    assert all(type(c) is F for q in got for c in q)
+
+
+def test_arrangement_candidates_match_on_random_sets():
+    rng = random.Random(1313)
+    for _ in range(40):
+        n = rng.randint(2, 9)
+        den = rng.choice([1, 2, 6])
+        pts = [
+            (F(rng.randint(-6, 6), den), F(rng.randint(-6, 6), rng.choice([1, 3])))
+            for _ in range(n)
+        ]
+        P = PointSet(2, tuple(pts))
+        assert _arrangement_candidates(
+            P, RangeSpaceKind.CONVEX_SETS
+        ) == slow_arrangement_candidates(P), pts
 
 
 def test_search_grid_refinement_is_monotone(workspace, capsys):

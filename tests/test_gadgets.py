@@ -1,15 +1,20 @@
 """gadgets: claim procedures, the three configurations, honest failures."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
+import helpers
 from epsnet.gadgets import (
     GADGETS,
     CertifiedClaim,
     ClaimKind,
     GadgetInstance,
+    _hull_facets,
+    _outside,
     certify,
+    check_claim,
     gadget_five_clusters,
     gadget_hexagon_3d,
     gadget_simplex,
@@ -23,7 +28,14 @@ from epsnet.geometry import (
     point_in_hull,
     polytopes_intersect,
 )
-from epsnet.ranges import max_subset_avoiding
+from epsnet.ranges import max_subset_avoiding, max_subset_avoiding_witness
+
+from helpers import (
+    brute_in_hull,
+    random_pointset,
+    slow_check_oracle_threshold,
+    slow_threshold_probe_pairs,
+)
 
 
 # --- claim kinds on a hand-built instance -----------------------------------
@@ -190,6 +202,187 @@ def test_unknown_witness_rejected():
 
 def test_registry_names():
     assert set(GADGETS) == {"five-clusters", "hexagon-3d", "simplex"}
+
+
+# --- oracle-threshold claims: probes outside the hull ------------------------
+
+
+def oracle_claim(threshold, trials, seed=7):
+    return CertifiedClaim(
+        ClaimKind.ORACLE_THRESHOLD,
+        f"threshold {threshold}",
+        threshold=threshold,
+        trials=trials,
+        seed=seed,
+    )
+
+
+def assert_matches_slow_check(instance, claim):
+    fast = check_claim(instance, claim)
+    slow = slow_check_oracle_threshold(instance, claim)
+    assert (fast.passed, fast.detail) == (slow.passed, slow.detail), claim
+
+
+@pytest.mark.parametrize("name", ["hexagon-3d", "simplex-3"])
+def test_gadget_oracle_claims_match_slow_check(name):
+    inst = gadget_hexagon_3d() if name == "hexagon-3d" else gadget_simplex(3)
+    claims = [c for c in inst.claims if c.kind is ClaimKind.ORACLE_THRESHOLD]
+    assert len(claims) == 1
+    (claim,) = claims
+    assert_matches_slow_check(inst, claim)
+    # one above the certified threshold fails, on the same pair
+    assert_matches_slow_check(
+        inst, oracle_claim(claim.threshold + 1, claim.trials, claim.seed)
+    )
+
+
+@pytest.mark.parametrize("trials", [0, 300])
+def test_mini_oracle_claims_match_slow_check(trials):
+    for threshold in range(1, 7):
+        assert_matches_slow_check(mini_instance(), oracle_claim(threshold, trials))
+
+
+def degenerate_instance(dim, pts, hulls=()):
+    P = PointSet(dim, tuple(pts))
+    witnesses = {f"hull_{i}": SubsetHull(P, idx) for i, idx in enumerate(hulls)}
+    return GadgetInstance("degenerate", P, {}, witnesses, ())
+
+
+DEGENERATE = {
+    # every point on the plane x + y + z = 6; probes off it are outside
+    "coplanar-3d": (
+        3,
+        [(0, 0, 6), (6, 0, 0), (0, 6, 0), (2, 2, 2), (1, 3, 2), (4, 1, 1)],
+        [(3, 4, 5)],
+    ),
+    "collinear-2d": (2, [(0, 0), (1, 2), (2, 4), (3, 6), (1, 2)], []),
+    "duplicates-2d": (
+        2,
+        [(0, 0), (4, 0), (0, 4), (0, 0), (1, 1), (1, 1), (3, 1)],
+        [(0, 1, 2)],
+    ),
+    "duplicates-3d": (
+        3,
+        [(0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4), (4, 0, 0), (1, 1, 1)],
+        [],
+    ),
+    # witness centroids on two facets; edge midpoints and vertices come
+    # with the structured sample, lattice probes land on the facets x = 0,
+    # y = 0 and z = 0
+    "boundary-probes-3d": (
+        3,
+        [(0, 0, 0), (6, 0, 0), (0, 6, 0), (0, 0, 6), (1, 1, 1), (2, 1, 0)],
+        [(1, 2, 3), (0, 1, 2)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_degenerate_oracle_claims_match_slow_check(name):
+    inst = degenerate_instance(*DEGENERATE[name])
+    for threshold in range(1, inst.pointset.n + 2):
+        assert_matches_slow_check(inst, oracle_claim(threshold, 400))
+
+
+def test_first_failing_pair_with_an_outside_probe(monkeypatch):
+    """A failing pair is reported with both probes, the settled one too."""
+    import epsnet.gadgets as gadgets
+
+    outside, centre = (F(3), F(1)), (F(1), F(1))
+    pairs = [((F(0), F(0)), (F(2), F(2))), (outside, centre), (centre, outside)]
+    monkeypatch.setattr(gadgets, "threshold_probe_pairs", lambda *args: pairs)
+    monkeypatch.setattr(helpers, "slow_threshold_probe_pairs", lambda *args: pairs)
+    inst = mini_instance()
+    assert _outside(_hull_facets(inst.pointset), outside)
+    claim = oracle_claim(3, 0)
+    result = check_claim(inst, claim)
+    assert not result.passed
+    assert result.detail == "only 2 avoid (3, 1) and (1, 1) (needed 3)"
+    assert_matches_slow_check(inst, claim)
+
+
+def test_probes_on_the_hull_boundary_are_kept():
+    P = PointSet(3, ((0, 0, 0), (6, 0, 0), (0, 6, 0), (0, 0, 6), (1, 1, 1)))
+    facets = _hull_facets(P)
+    assert len(facets) == 4
+    vertex, edge, facet = (6, 0, 0), (3, 3, 0), (2, 2, 2)
+    for q in (vertex, edge, facet, (0, 1, 2), (1, 1, 1)):
+        assert not _outside(facets, tuple(map(F, q)))
+    tiny = F(1, 10**9)
+    for q in ((6 + tiny, 0, 0), (3, 3, -tiny), (2, 2, 2 + tiny), (-tiny, 1, 2)):
+        assert _outside(facets, tuple(map(F, q)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_outside_test_agrees_with_hull_membership(dim):
+    """Full-dimensional sets: outside exactly when not in the hull.  Flat
+    sets (few points, repeated rows of the small grid): outside implies
+    not in the hull."""
+    rng = random.Random(f"outside:{dim}")
+    for _ in range(30):
+        n = rng.randint(1, min(7, 4**dim))
+        P = random_pointset(rng, n, dim, lo=0, hi=3, distinct=False)
+        facets = _hull_facets(P)
+        full = helpers.affine_rank(P.points) == dim
+        for _ in range(15):
+            q = tuple(F(rng.randint(-2, 14), 4) for _ in range(dim))
+            inside = brute_in_hull(q, P.points)
+            if full:
+                assert _outside(facets, q) == (not inside), (P.points, q)
+            elif inside:
+                assert not _outside(facets, q), (P.points, q)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_probe_outside_the_hull_changes_no_oracle_answer(dim):
+    """The lemma behind the reduction: a probe strictly outside conv(P)
+    leaves every oracle answer as the other probe alone gives it, with or
+    without stop_at, and alone it leaves all of P."""
+    rng = random.Random(f"lemma:{dim}")
+    for _ in range(20):
+        P = random_pointset(rng, rng.randint(2, 7), dim, lo=0, hi=4, distinct=False)
+        weights = [rng.randint(0, 3) for _ in P.points]
+        if not any(weights):
+            weights[0] = 1
+        total = sum(weights)
+        q_in = tuple(
+            sum(w * p[a] for w, p in zip(weights, P.points)) / total
+            for a in range(dim)
+        )
+        while True:
+            q_out = tuple(F(rng.randint(-4, 20), 4) for _ in range(dim))
+            if not brute_in_hull(q_out, P.points):
+                break
+        assert max_subset_avoiding_witness(P, [q_out]) == (P.n, tuple(range(P.n)))
+        for stop_at in (None, 1, 2, 3, P.n):
+            want = max_subset_avoiding_witness(P, [q_in], stop_at)
+            assert max_subset_avoiding_witness(P, [q_out, q_in], stop_at) == want
+            assert max_subset_avoiding_witness(P, [q_in, q_out], stop_at) == want
+
+
+def rational_3d_instance():
+    pts = [
+        (F(1, 2), F(-1, 3), F(2, 7)),
+        (F(5, 3), F(1, 4), F(-3, 5)),
+        (F(-7, 6), F(9, 8), F(1, 9)),
+        (F(2, 5), F(-4, 3), F(11, 10)),
+        (F(0), F(1, 6), F(-5, 7)),
+    ]
+    return degenerate_instance(3, pts, [(0, 1, 2)])
+
+
+@pytest.mark.parametrize("name", ["five-clusters-2", "rational-3d"])
+def test_probe_pairs_match_fraction_lattice(name):
+    inst = gadget_five_clusters(2) if name == "five-clusters-2" else rational_3d_instance()
+    assert any(
+        c.denominator > 1 for box in inst.pointset.bounding_box() for c in box
+    )
+    structured = len(threshold_probe_pairs(inst, 0, 5))
+    for seed in (5, 53):
+        trials = structured + 300
+        got = threshold_probe_pairs(inst, trials, seed)
+        assert len(got) == trials
+        assert got == slow_threshold_probe_pairs(inst, trials, seed)
 
 
 # --- five clusters -----------------------------------------------------------
