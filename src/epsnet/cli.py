@@ -121,7 +121,7 @@ def _run_construction(P: PointSet, kind: RangeSpaceKind, size: int, args):
         net, trace = construct_box_triple_2d(P, eps)
         return net, trace.method
     if size == 2:
-        net, trace = construct_convex_pair(P, eps, member_budget=args.budget)
+        net, trace = construct_convex_pair(P, eps)
         return net, trace.method
     raise ValueError(f"no convex construction of size {size}")
 
@@ -140,8 +140,7 @@ def cmd_construct(args, argv) -> int:
             "net": net_to_json(net),
         }
         if args.verify:
-            kwargs = {"budget": args.budget} if kind is RangeSpaceKind.CONVEX_SETS else {}
-            rep = verify_weighted_net(P, net, kind, **kwargs)
+            rep = verify_weighted_net(P, net, kind, budget=args.budget)
             sections["verification"] = verification_to_json(rep, timing=args.timing)
         if args.svg:
             write_text_atomic(args.svg, render_svg(P, net))
@@ -176,8 +175,7 @@ def cmd_verify(args, argv) -> int:
     started = time.perf_counter()
     sections: dict = {}
     try:
-        kwargs = {"budget": args.budget} if kind is RangeSpaceKind.CONVEX_SETS else {}
-        rep = verify_weighted_net(P, net, kind, **kwargs)
+        rep = verify_weighted_net(P, net, kind, budget=args.budget)
         sections["verification"] = verification_to_json(rep, timing=args.timing)
     except BudgetExceededError as exc:
         sections["budget"] = _budget_section(exc)
@@ -356,14 +354,13 @@ def cmd_search(args, argv) -> int:
     )
     sections: dict = {}
     started = time.perf_counter()
-    if nets_to_try > args.budget:
-        sections["budget"] = {
-            "exceeded": True,
-            "required": nets_to_try,
-            "message": f"search needs {nets_to_try} net evaluations,"
-            f" budget {args.budget}; shrink the candidate family",
-        }
-    else:
+    try:
+        if nets_to_try > args.budget:
+            raise BudgetExceededError(
+                f"search needs {nets_to_try} net evaluations,"
+                f" budget {args.budget}; shrink the candidate family",
+                required=nets_to_try,
+            )
         counts, net = _search(P, kind, candidates, args.size)
         reference = CONSTRUCTION_EPS1.get((kind, args.size))
         sections["search"] = {
@@ -385,6 +382,8 @@ def cmd_search(args, argv) -> int:
                 None if reference is None else fraction_to_json(reference)
             ),
         }
+    except BudgetExceededError as exc:
+        sections["budget"] = _budget_section(exc)
     if args.timing:
         sections["timing"] = {"total_seconds": round(time.perf_counter() - started, 6)}
     return _finish(make_report(argv, P, **sections), args)
@@ -413,8 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=2_000_000,
-        help="cap on the subset hulls a convex net may enumerate: the"
-        " construction in d > 2 (the planar one enumerates none) and --verify",
+        help="cap on the subset hulls --verify may enumerate for convex"
+        " ranges; boxes enumerate none",
     )
     con.set_defaults(func=cmd_construct)
 
@@ -423,7 +422,12 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--net", required=True, help="point-set file of net points")
     ver.add_argument("--eps", required=True)
     ver.add_argument("--ranges", required=True, choices=["convex", "boxes"])
-    ver.add_argument("--budget", type=int, default=5_000_000)
+    ver.add_argument(
+        "--budget",
+        type=int,
+        default=5_000_000,
+        help="cap on the subset hulls convex verification may enumerate",
+    )
     ver.set_defaults(func=cmd_verify)
 
     gad = sub.add_parser("gadget", help="write and certify a gadget point set")
@@ -448,7 +452,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="arrangement",
         help="'arrangement' or 'grid:R' (R steps per axis)",
     )
-    sea.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
+    sea.add_argument(
+        "--budget",
+        type=int,
+        default=DEFAULT_SEARCH_BUDGET,
+        help="cap on the candidate nets search evaluates",
+    )
     sea.set_defaults(func=cmd_search)
 
     for p in (con, ver, gad, sea):

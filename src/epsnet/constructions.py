@@ -111,7 +111,7 @@ def _count_small_side(n, n_above, t1, c_min, side_a):
 
 
 def construct_convex_pair(
-    P: PointSet, eps: EpsilonProfile, member_budget: int = 2_000_000
+    P: PointSet, eps: EpsilonProfile
 ) -> tuple[WeightedNet, ConstructionTrace]:
     """Two points such that every convex range over the level-1 threshold
     contains one and every range over the level-2 threshold contains both.
@@ -120,9 +120,9 @@ def construct_convex_pair(
     hull joins side B when it has strictly more points below the halving
     hyperplane than above, side A otherwise.  The net points are common
     points of the families (nonempty under the profile conditions by a
-    Helly argument over the counting bound).  ``member_budget`` caps the
-    C(n, t1) + C(n, t2) subset hulls of the LP path; the planar halfplane
-    path enumerates none and ignores it.
+    Helly argument over the counting bound).  The planar halfplane path
+    enumerates no subset hulls; the joint LP path refuses more than 400
+    member hulls before enumerating any.
     """
     if not check_convex_pair_conditions(P.dim, eps):
         e1, e2 = eps.eps
@@ -144,13 +144,6 @@ def construct_convex_pair(
         # the halfplane reduction needs full-dimensional member hulls
         p1, p2, sizes = _convex_pair_2d(P, above, t1, t2)
     else:
-        # only the LP path enumerates the subset hulls
-        need = comb(n, t1) + comb(n, t2)
-        if need > member_budget:
-            raise BudgetExceededError(
-                f"family of {need} subset hulls exceeds budget {member_budget}",
-                required=need,
-            )
         p1, p2, sizes = _convex_pair_lp(P, above, t1, t2)
     net = WeightedNet((p1, p2), eps)
     trace = ConstructionTrace(
@@ -286,6 +279,13 @@ def _convex_pair_2d(P, above, t1, t2):
 
 def _convex_pair_lp(P, above, t1, t2):
     n = P.n
+    # each level-1 hull joins one family, each level-2 hull both
+    members = comb(n, t1) + 2 * comb(n, t2)
+    if members > 400:
+        raise BudgetExceededError(
+            f"joint LP over {members} hulls is over the d>2 budget of 400",
+            required=members,
+        )
     c_min = (t1 + 1) // 2
     side_a = []
     side_b = []
@@ -295,12 +295,6 @@ def _convex_pair_lp(P, above, t1, t2):
         else:
             side_b.append(SubsetHull(P, idx))
     bigs = [SubsetHull(P, idx) for idx in itertools.combinations(range(n), t2)]
-    members = len(side_a) + len(side_b) + 2 * len(bigs)
-    if members > 400:
-        raise BudgetExceededError(
-            f"joint LP over {members} hulls is over the d>2 budget of 400",
-            required=members,
-        )
     sizes = [
         ("small_A", len(side_a)),
         ("small_B", len(side_b)),

@@ -15,7 +15,7 @@ could flip a verdict.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
@@ -63,12 +63,11 @@ def as_point(coords: Iterable, dim: Optional[int] = None) -> Point:
 class PointSet:
     """An ordered set of n points in R^d.
 
-    ``general_position=True`` asserts (and checks, at construction) that no
-    d+1 points lie on a common hyperplane and that coordinates are pairwise
-    distinct along every axis.  In the plane the check compares reduced
-    integer directions, O(n^2) in all; for d >= 3 it takes one integer
-    determinant per (d+1)-subset, O(n^(d+1)).  Operations that need just
-    the per-axis distinctness test it themselves.
+    ``check_general_position`` raises unless no d+1 points lie on a common
+    hyperplane and coordinates are pairwise distinct along every axis.  In
+    the plane it compares reduced integer directions, O(n^2) in all; for
+    d >= 3 it takes one integer determinant per (d+1)-subset, O(n^(d+1)).
+    Operations that need just the per-axis distinctness test it themselves.
 
     The hash is computed once, on first use: point sets key the module
     caches of integer coordinates, axis orders and oracle masks, and
@@ -78,11 +77,10 @@ class PointSet:
 
     dim: int
     points: tuple[Point, ...]
-    general_position: bool = False
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.dim, self.points, self.general_position))
+        return hash((self.dim, self.points))
 
     def __hash__(self) -> int:
         return self._hash
@@ -94,8 +92,6 @@ class PointSet:
         object.__setattr__(self, "points", pts)
         if not pts:
             raise ValueError("point set must be non-empty")
-        if self.general_position:
-            self.check_general_position()
 
     @property
     def n(self) -> int:
@@ -252,23 +248,16 @@ class Halfspace:
 
 @dataclass(frozen=True)
 class HPolytope:
-    """A convex set given as a finite list of halfspaces.
-
-    ``witness`` caches a point known to satisfy all halfspaces once one has
-    been computed; emptiness itself is always decided by LP.
-    """
+    """A convex set given as a finite list of halfspaces."""
 
     dim: int
     halfspaces: tuple[Halfspace, ...]
-    witness: Optional[Point] = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "halfspaces", tuple(self.halfspaces))
         for h in self.halfspaces:
             if len(h.normal) != self.dim:
                 raise DimensionMismatchError("halfspace dimension mismatch")
-        if self.witness is not None:
-            object.__setattr__(self, "witness", as_point(self.witness, self.dim))
 
     def contains(self, q: Point) -> bool:
         return all(h.contains(q) for h in self.halfspaces)
@@ -383,29 +372,20 @@ def polytopes_intersect(family: Sequence[ConvexBody]) -> Optional[Point]:
 # axis-orthogonal splitting
 
 
-def split_at_count(
-    P: PointSet,
-    axis: int,
-    below_count: int,
-    restrict_to: Optional[HPolytope] = None,
-) -> Hyperplane:
+def split_at_count(P: PointSet, axis: int, below_count: int) -> Hyperplane:
     """Axis-orthogonal hyperplane with exactly ``below_count`` points strictly below.
 
-    Counts are over the points inside ``restrict_to`` when given.  The plane
-    sits at the midpoint between the straddling coordinates; with the count
-    at either extreme it sits one unit outside the range.
+    The plane sits at the midpoint between the straddling coordinates; with
+    the count at either extreme it sits one unit outside the range.
     """
-    pts = P.points
-    if restrict_to is not None:
-        pts = tuple(p for p in pts if restrict_to.contains(p))
-    coords = sorted(p[axis] for p in pts)
+    coords = sorted(p[axis] for p in P.points)
     m = len(coords)
     if not 0 <= below_count <= m:
         raise InfeasibleCountError(
             f"below_count {below_count} out of range for {m} points"
         )
     if below_count == 0:
-        value = (coords[0] - 1) if m else _ZERO
+        value = coords[0] - 1  # a point set is never empty
     elif below_count == m:
         value = coords[-1] + 1
     else:

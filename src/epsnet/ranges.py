@@ -44,7 +44,6 @@ from .errors import DegenerateInputError, UnsupportedDimensionError
 from .geometry import (
     Point,
     PointSet,
-    SubsetHull,
     as_point,
     common_integer_coords,
     frac,
@@ -170,44 +169,10 @@ def _axis_orders(
 
 
 def count_in_box(P: PointSet, box: BoxRange) -> int:
-    """Exact |P inside box| (closed containment).
-
-    Per-axis bisection finds the narrowest coordinate slab; only its points
-    are scanned against the remaining axes.
-    """
+    """Exact |P inside box| (closed containment)."""
     if box.dim != P.dim:
         raise DegenerateInputError("box dimension does not match point set")
-    orders = _axis_orders(P)
-    best_axis, best_span = -1, None
-    spans = []
-    for a, (coords, _, _) in enumerate(orders):
-        lo, hi = box.intervals[a]
-        i = bisect_left(coords, lo)
-        j = bisect_right(coords, hi)
-        spans.append((i, j))
-        if best_span is None or j - i < best_span:
-            best_axis, best_span = a, j - i
-    if best_span == 0:
-        return 0
-    i, j = spans[best_axis]
-    idxs = orders[best_axis][1][i:j]
-    if P.dim == 1:
-        return len(idxs)
-    cnt = 0
-    pts = P.points
-    for idx in idxs:
-        p = pts[idx]
-        ok = True
-        for a in range(P.dim):
-            if a == best_axis:
-                continue
-            lo, hi = box.intervals[a]
-            if not lo <= p[a] <= hi:
-                ok = False
-                break
-        if ok:
-            cnt += 1
-    return cnt
+    return sum(1 for p in P.points if box.contains(p))
 
 
 def box_signature(P: PointSet, q: Point) -> tuple[tuple[int, int], ...]:
@@ -288,14 +253,6 @@ def largest_box_avoiding(
             if stop_at is not None and best >= stop_at:
                 break
     return best
-
-
-def minimal_convex_ranges(P: PointSet, t: int) -> Iterator[SubsetHull]:
-    """All t-subset hulls, lexicographically by index tuple."""
-    if not 1 <= t <= P.n:
-        raise ValueError(f"subset size {t} out of range 1..{P.n}")
-    for idx in itertools.combinations(range(P.n), t):
-        yield SubsetHull(P, idx)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Optional, Sequence, Union
+from typing import Callable, Hashable, Iterator, Optional, Sequence, Union
 
 from .errors import BudgetExceededError
 from .geometry import (
@@ -43,7 +43,6 @@ from .ranges import (
     WeightedNet,
     box_regions_avoiding,
     count_in_box,
-    minimal_convex_ranges,
 )
 
 DEFAULT_CONVEX_BUDGET = 2_000_000
@@ -93,6 +92,59 @@ def counting_bound(n: int, k: int, l: int, eps: EpsilonProfile) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# the level loop
+
+
+def _verify_levels(
+    kind: RangeSpaceKind,
+    P: PointSet,
+    net: WeightedNet,
+    scan: Callable[[int, int], Iterator[Optional[Hashable]]],
+    violation: Callable[[int, int, Hashable], Violation],
+    max_violations: int,
+    start: float,
+) -> VerificationReport:
+    """The weighted-net rule, level by level, for any range kind.
+
+    ``scan(level, t)`` yields one item per range it examines: None, or the
+    key of a range holding at least t points and fewer than ``level`` net
+    points.  Every such range counts; the first ``max_violations``
+    distinct keys are listed, each at the lowest level it violates, and
+    ``violation(level, t, key)`` builds the listed entry.
+    """
+    n = P.n
+    verdicts = []
+    found: list[Violation] = []
+    seen = set()
+    total = 0
+    examined = 0
+    for level in range(1, net.k + 1):
+        t = net.profile.min_strict_count(level, n)
+        level_ok = True
+        for key in scan(level, t):
+            examined += 1
+            if key is None:
+                continue
+            level_ok = False
+            total += 1
+            if key in seen or len(found) >= max_violations:
+                continue
+            seen.add(key)
+            found.append(violation(level, t, key))
+        verdicts.append(level_ok)
+    return VerificationReport(
+        kind,
+        n,
+        net.profile,
+        tuple(verdicts),
+        tuple(found),
+        total,
+        examined,
+        time.perf_counter() - start,
+    )
+
+
+# ---------------------------------------------------------------------------
 # boxes
 
 
@@ -103,54 +155,34 @@ def verify_weighted_net_boxes(
 ) -> VerificationReport:
     """Exact box-range verification of a weighted net.
 
-    Level verdicts are independent; listed violations are deduplicated by
-    witness and attributed to the lowest violated level.
+    Level i scans the regions dodging each (k-i+1)-subset of the net; a
+    region with at least t_i points is keyed by its points' bounding box.
     """
     start = time.perf_counter()
-    d, n, k = P.dim, P.n, net.k
-    prof = net.profile
-    verdicts = []
-    found: list[Violation] = []
-    seen_witnesses = set()
-    total = 0
-    examined = 0
-    for level in range(1, k + 1):
-        thr = prof.min_strict_count(level, n)
-        level_ok = True
+    d, k = P.dim, net.k
+
+    def scan(level, t):
         for T in itertools.combinations(net.points, k - level + 1):
             for inside in box_regions_avoiding(P, T):
-                examined += 1
-                if len(inside) < thr:
-                    continue
-                level_ok = False
-                total += 1
-                box = BoxRange(
-                    tuple(
-                        (
-                            min(P.points[i][a] for i in inside),
-                            max(P.points[i][a] for i in inside),
-                        )
-                        for a in range(d)
+                yield None if len(inside) < t else tuple(
+                    (
+                        min(P.points[i][a] for i in inside),
+                        max(P.points[i][a] for i in inside),
                     )
+                    for a in range(d)
                 )
-                if box.intervals in seen_witnesses or len(found) >= max_violations:
-                    continue
-                seen_witnesses.add(box.intervals)
-                net_inside = box.count_net_points(net.points)
-                pcount = count_in_box(P, box)
-                if net_inside >= level or pcount < thr:  # pragma: no cover
-                    raise RuntimeError("region witness failed its recheck")
-                found.append(Violation(level, box, net_inside, pcount))
-        verdicts.append(level_ok)
-    return VerificationReport(
-        RangeSpaceKind.AXIS_PARALLEL_BOXES,
-        n,
-        prof,
-        tuple(verdicts),
-        tuple(found),
-        total,
-        examined,
-        time.perf_counter() - start,
+
+    def violation(level, t, intervals):
+        box = BoxRange(intervals)
+        net_inside = box.count_net_points(net.points)
+        pcount = count_in_box(P, box)
+        if net_inside >= level or pcount < t:  # pragma: no cover
+            raise RuntimeError("region witness failed its recheck")
+        return Violation(level, box, net_inside, pcount)
+
+    return _verify_levels(
+        RangeSpaceKind.AXIS_PARALLEL_BOXES, P, net, scan, violation,
+        max_violations, start,
     )
 
 
@@ -191,87 +223,68 @@ def verify_weighted_net_convex(
 
     Level i checks all hulls of t_i = floor(eps_i * n) + 1 points: a convex
     range with more than eps_i * n points contains such a subset, and its
-    hull needs the same net points.  Raises BudgetExceededError (with the
-    required figure) when the binomial enumeration would be too large.
+    hull needs the same net points.  In the plane the hulls are integer
+    polygons over the points in lexicographic order; otherwise membership
+    is the exact LP of ``point_in_hull``.  Raises BudgetExceededError (with
+    the required figure) when the binomial enumeration would be too large.
     """
     start = time.perf_counter()
-    n, k = P.n, net.k
-    prof = net.profile
-    required = convex_budget_required(n, prof)
+    n = P.n
+    required = convex_budget_required(n, net.profile)
     if required > budget:
-        raise BudgetExceededError(_budget_message(P, prof, budget), required=required)
-    verdicts = []
-    found: list[Violation] = []
-    seen = set()
-    total = 0
-    examined = 0
-    fast2d = P.dim == 2
-    if fast2d:
-        ipts, inet = common_integer_coords(P, net.points)
-        order = sorted(range(n), key=lambda i: ipts[i])
-    for level in range(1, k + 1):
-        t = prof.min_strict_count(level, n)
-        if t > n:
-            verdicts.append(True)
-            continue
-        level_ok = True
-        if fast2d:
-            for idx in itertools.combinations(order, t):
-                examined += 1
-                hull = hull2d([ipts[i] for i in idx])
-                inside = sum(
-                    1 for q in inet if point_in_convex_polygon(q, hull) >= 0
-                )
-                if inside >= level:
-                    continue
-                level_ok = False
-                total += 1
-                key = tuple(sorted(idx))
-                if len(found) >= max_violations or key in seen:
-                    continue
-                seen.add(key)
-                witness = SubsetHull(P, key)
-                pcount = sum(
-                    1
-                    for p in ipts
-                    if point_in_convex_polygon(p, hull) >= 0
-                )
-                found.append(Violation(level, witness, inside, pcount))
-        else:
-            for hull in minimal_convex_ranges(P, t):
-                examined += 1
-                inside = sum(
-                    1 for q in net.points if point_in_hull(q, hull)
-                )
-                if inside >= level:
-                    continue
-                level_ok = False
-                total += 1
-                key = hull.indices
-                if len(found) >= max_violations or key in seen:
-                    continue
-                seen.add(key)
-                pcount = sum(1 for p in P.points if point_in_hull(p, hull))
-                found.append(Violation(level, hull, inside, pcount))
-        verdicts.append(level_ok)
-    return VerificationReport(
-        RangeSpaceKind.CONVEX_SETS,
-        n,
-        prof,
-        tuple(verdicts),
-        tuple(found),
-        total,
-        examined,
-        time.perf_counter() - start,
+        raise BudgetExceededError(
+            _budget_message(P, net.profile, budget), required=required
+        )
+    if P.dim == 2:
+        pts, net_pts = common_integer_coords(P, net.points)
+        order = sorted(range(n), key=lambda i: pts[i])
+
+        def hull_of(idx):
+            return hull2d([pts[i] for i in idx])
+
+        def count_in(hull, qs):
+            return sum(1 for q in qs if point_in_convex_polygon(q, hull) >= 0)
+
+    else:
+        pts, net_pts, order = P.points, net.points, range(n)
+
+        def hull_of(idx):
+            return SubsetHull(P, idx)
+
+        def count_in(hull, qs):
+            return sum(1 for q in qs if point_in_hull(q, hull))
+
+    def scan(level, t):
+        for idx in itertools.combinations(order, t):
+            yield idx if count_in(hull_of(idx), net_pts) < level else None
+
+    def violation(level, t, idx):
+        hull = hull_of(idx)
+        return Violation(
+            level,
+            SubsetHull(P, tuple(sorted(idx))),
+            count_in(hull, net_pts),
+            count_in(hull, pts),
+        )
+
+    return _verify_levels(
+        RangeSpaceKind.CONVEX_SETS, P, net, scan, violation, max_violations, start
     )
 
 
 def verify_weighted_net(
-    P: PointSet, net: WeightedNet, kind: RangeSpaceKind, **kwargs
+    P: PointSet,
+    net: WeightedNet,
+    kind: Union[RangeSpaceKind, str],
+    max_violations: int = 16,
+    budget: int = DEFAULT_CONVEX_BUDGET,
 ) -> VerificationReport:
-    if kind is RangeSpaceKind.AXIS_PARALLEL_BOXES:
-        return verify_weighted_net_boxes(P, net, **kwargs)
-    return verify_weighted_net_convex(P, net, **kwargs)
+    """Verify ``net`` for the range kind given as a member or its value
+    ("boxes", "convex"); ``budget`` caps the subset hulls of convex
+    verification and does not apply to boxes."""
+    if RangeSpaceKind(kind) is RangeSpaceKind.AXIS_PARALLEL_BOXES:
+        return verify_weighted_net_boxes(P, net, max_violations)
+    return verify_weighted_net_convex(P, net, max_violations, budget)
 
 
 # ---------------------------------------------------------------------------

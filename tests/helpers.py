@@ -7,9 +7,9 @@ At the end sit the plain versions of optimised kernels (the planar
 general-position check, the planar convex-pair construction with its
 Fraction polygon clipping, the 3D avoidance oracle, the Fraction simplex
 tableau, the Fraction box region scan, the search over points, the Fraction
-arrangement vertices, the Fraction probe lattice and the oracle-threshold
-check that queries every pair), which differential tests hold the library's
-kernels to, output for output.
+arrangement vertices, the Fraction probe lattice, the oracle-threshold
+check that queries every pair and the verifiers' per-kind level loops),
+which differential tests hold the library's kernels to, output for output.
 """
 
 from bisect import bisect_left, bisect_right
@@ -28,12 +28,21 @@ from epsnet.geometry import (
     as_point,
     centroid,
     common_integer_coords,
+    hull2d,
     integer_coords,
     orient2d,
     point_in_convex_polygon,
+    point_in_hull,
 )
 from epsnet.linprog import ONE, ZERO
-from epsnet.ranges import RangeSpaceKind, _candidate_masks, max_subset_avoiding
+from epsnet.ranges import (
+    BoxRange,
+    RangeSpaceKind,
+    _candidate_masks,
+    box_regions_avoiding,
+    max_subset_avoiding,
+)
+from epsnet.verification import VerificationReport, Violation
 
 
 # --- exact linear algebra ---------------------------------------------------
@@ -844,4 +853,129 @@ def slow_check_oracle_threshold(instance, claim):
             )
     return ClaimResult(
         claim, True, f"threshold {claim.threshold} met on {len(pairs)} pairs"
+    )
+
+
+# --- the per-kind level loops of the verifiers ------------------------------
+
+
+def slow_verify_boxes(P, net, max_violations=16):
+    """The box verifier with its own level loop: the reference the shared
+    loop in ``verification`` must match field for field (``elapsed`` is
+    0)."""
+    d, n, k = P.dim, P.n, net.k
+    prof = net.profile
+    verdicts = []
+    found = []
+    seen_witnesses = set()
+    total = 0
+    examined = 0
+    for level in range(1, k + 1):
+        thr = prof.min_strict_count(level, n)
+        level_ok = True
+        for T in combinations(net.points, k - level + 1):
+            for inside in box_regions_avoiding(P, T):
+                examined += 1
+                if len(inside) < thr:
+                    continue
+                level_ok = False
+                total += 1
+                box = BoxRange(
+                    tuple(
+                        (
+                            min(P.points[i][a] for i in inside),
+                            max(P.points[i][a] for i in inside),
+                        )
+                        for a in range(d)
+                    )
+                )
+                if box.intervals in seen_witnesses or len(found) >= max_violations:
+                    continue
+                seen_witnesses.add(box.intervals)
+                net_inside = box.count_net_points(net.points)
+                pcount = naive_count_in_box(P, *zip(*box.intervals))
+                assert net_inside < level and pcount >= thr
+                found.append(Violation(level, box, net_inside, pcount))
+        verdicts.append(level_ok)
+    return VerificationReport(
+        RangeSpaceKind.AXIS_PARALLEL_BOXES,
+        n,
+        prof,
+        tuple(verdicts),
+        tuple(found),
+        total,
+        examined,
+        0.0,
+    )
+
+
+def slow_verify_convex(P, net, max_violations=16):
+    """The convex verifier with its own level loops, one over integer
+    polygons in the plane and one over LP hulls otherwise (no budget)."""
+    n, k = P.n, net.k
+    prof = net.profile
+    verdicts = []
+    found = []
+    seen = set()
+    total = 0
+    examined = 0
+    fast2d = P.dim == 2
+    if fast2d:
+        ipts, inet = common_integer_coords(P, net.points)
+        order = sorted(range(n), key=lambda i: ipts[i])
+    for level in range(1, k + 1):
+        t = prof.min_strict_count(level, n)
+        if t > n:
+            verdicts.append(True)
+            continue
+        level_ok = True
+        if fast2d:
+            for idx in combinations(order, t):
+                examined += 1
+                hull = hull2d([ipts[i] for i in idx])
+                inside = sum(
+                    1 for q in inet if point_in_convex_polygon(q, hull) >= 0
+                )
+                if inside >= level:
+                    continue
+                level_ok = False
+                total += 1
+                key = tuple(sorted(idx))
+                if len(found) >= max_violations or key in seen:
+                    continue
+                seen.add(key)
+                witness = SubsetHull(P, key)
+                pcount = sum(
+                    1
+                    for p in ipts
+                    if point_in_convex_polygon(p, hull) >= 0
+                )
+                found.append(Violation(level, witness, inside, pcount))
+        else:
+            for idx in combinations(range(n), t):
+                hull = SubsetHull(P, idx)
+                examined += 1
+                inside = sum(
+                    1 for q in net.points if point_in_hull(q, hull)
+                )
+                if inside >= level:
+                    continue
+                level_ok = False
+                total += 1
+                key = hull.indices
+                if len(found) >= max_violations or key in seen:
+                    continue
+                seen.add(key)
+                pcount = sum(1 for p in P.points if point_in_hull(p, hull))
+                found.append(Violation(level, hull, inside, pcount))
+        verdicts.append(level_ok)
+    return VerificationReport(
+        RangeSpaceKind.CONVEX_SETS,
+        n,
+        prof,
+        tuple(verdicts),
+        tuple(found),
+        total,
+        examined,
+        0.0,
     )

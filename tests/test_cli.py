@@ -472,7 +472,12 @@ def test_search_over_budget(workspace, capsys):
         "--input", "points8.json", "--budget", "10",
     )
     assert code == 4
-    assert json.loads(out)["budget"]["required"] > 10
+    assert json.loads(out)["budget"] == {
+        "exceeded": True,
+        "message": "search needs 15753 net evaluations, budget 10;"
+        " shrink the candidate family",
+        "required": 15753,
+    }
 
 
 def test_search_enforces_small_n(workspace, capsys):

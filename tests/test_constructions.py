@@ -444,8 +444,8 @@ def test_convex_pair_2d_matches_collected_fraction_clipping():
 
 
 def test_convex_pair_planar_ignores_member_budget():
-    # the halfplane path enumerates no subset hulls, so a family far over
-    # the default budget does not stop it
+    # the halfplane path enumerates no subset hulls, so a family of more
+    # than two million of them does not stop it
     rng = random.Random(83)
     P = random_pointset(rng, 30, 2, lo=-200, hi=200, no_collinear=True)
     t1, t2 = CONVEX.min_strict_count(1, 30), CONVEX.min_strict_count(2, 30)
@@ -456,21 +456,27 @@ def test_convex_pair_planar_ignores_member_budget():
         assert max_subset_avoiding(P, [q]) < t2
 
 
-def test_convex_pair_lp_path_keeps_member_budget():
+def test_convex_pair_lp_path_refuses_before_enumerating(monkeypatch):
+    # n = 15 in d = 3: C(15, 11) + 2 * C(15, 13) = 1575 member hulls, over
+    # the cap of 400, refused before a single hull is built
     rng = random.Random(79)
     eps = EpsilonProfile((F(5, 7), F(6, 7)))
     while True:
-        P = random_pointset(rng, 7, 3)
+        P = random_pointset(rng, 15, 3)
         try:
             P.check_general_position()
             break
         except DegenerateInputError:
             continue
-    need = comb(7, eps.min_strict_count(1, 7)) + comb(7, eps.min_strict_count(2, 7))
+
+    def no_hulls(*args):
+        raise AssertionError("a member hull was built")
+
+    monkeypatch.setattr("epsnet.constructions.SubsetHull", no_hulls)
+    t1, t2 = eps.min_strict_count(1, 15), eps.min_strict_count(2, 15)
     with pytest.raises(BudgetExceededError) as exc:
-        construct_convex_pair(P, eps, member_budget=need - 1)
-    assert exc.value.required == need
-    construct_convex_pair(P, eps, member_budget=need)
+        construct_convex_pair(P, eps)
+    assert exc.value.required == comb(15, t1) + 2 * comb(15, t2) == 1575
 
 
 def test_convex_pair_condition_error():

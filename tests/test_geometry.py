@@ -92,7 +92,7 @@ def test_pointset_hash_is_cached():
     P = PointSet(2, pts)
     Q = PointSet(2, tuple((F(i, 7), F(3 * i + 1, 5)) for i in range(9)))
     assert P == Q and hash(P) == hash(Q)
-    assert hash(P) == hash((P.dim, P.points, P.general_position))
+    assert hash(P) == hash((P.dim, P.points))
     before = _CountingFraction.hashes
     for _ in range(5):
         hash(P)
@@ -148,7 +148,7 @@ def test_general_position_matches_affine_rank(d):
         # the first three project onto a line in the xy-plane, so the
         # elimination meets a zero pivot on a non-singular matrix
         skewed = [(0, 0, 0), (1, 1, 5), (2, 2, 3), (3, 7, 1)]
-        PointSet(3, tuple(tuple(map(F, p)) for p in skewed), general_position=True)
+        PointSet(3, tuple(tuple(map(F, p)) for p in skewed)).check_general_position()
     outcomes = set()
     for trial in range(80):
         n = rng.randint(d + 1, 8)
@@ -171,11 +171,8 @@ def test_general_position_matches_affine_rank(d):
         want = _reference_general_position_error(d, pts)
         outcomes.add(want is None)
         if want is None:
-            PointSet(d, tuple(pts), general_position=True)
+            PointSet(d, tuple(pts)).check_general_position()
             continue
-        with pytest.raises(DegenerateInputError) as exc:
-            PointSet(d, tuple(pts), general_position=True)
-        assert str(exc.value) == want
         with pytest.raises(DegenerateInputError) as exc:
             PointSet(d, tuple(pts)).check_general_position()
         assert str(exc.value) == want
@@ -245,11 +242,11 @@ def test_planar_general_position_reports_first_triple():
 
 def test_general_position_flag():
     with pytest.raises(DegenerateInputError):
-        PointSet(2, ((F(0), F(0)), (F(1), F(1)), (F(2), F(2))), general_position=True)
+        P2((0, 0), (1, 1), (2, 2)).check_general_position()
     with pytest.raises(DegenerateInputError):
         # distinct points but a duplicated x-coordinate
-        PointSet(2, ((F(0), F(0)), (F(0), F(1)), (F(2), F(5))), general_position=True)
-    PointSet(2, ((F(0), F(0)), (F(1), F(3)), (F(2), F(1))), general_position=True)
+        P2((0, 0), (0, 1), (2, 5)).check_general_position()
+    P2((0, 0), (1, 3), (2, 1)).check_general_position()
 
 
 def test_hyperplane_sides():
@@ -491,14 +488,6 @@ def test_split_at_count_exact():
         h = split_at_count(ps, 1, c)
         assert sum(1 for p in ps.points if h.side(p) < 0) == c
         assert all(h.side(p) != 0 for p in ps.points)
-
-
-def test_split_with_restriction():
-    ps = P2((0, 0), (1, 5), (2, 1), (3, 6), (4, 2), (5, 7))
-    region = HPolytope.from_bounds([(F(0), F(5)), (F(4), F(9))])  # upper points
-    h = split_at_count(ps, 0, 1, restrict_to=region)
-    inside = [p for p in ps.points if region.contains(p)]
-    assert sum(1 for p in inside if h.side(p) < 0) == 1
 
 
 def test_split_count_out_of_range():

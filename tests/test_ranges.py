@@ -1,4 +1,4 @@
-"""ranges: counting, box regions, minimal convex ranges, avoidance oracle."""
+"""ranges: counting, box regions, avoidance oracle."""
 
 import random
 from fractions import Fraction as F
@@ -26,7 +26,6 @@ from epsnet.ranges import (
     max_mask_intersection,
     max_subset_avoiding,
     max_subset_avoiding_witness,
-    minimal_convex_ranges,
 )
 
 from helpers import (
@@ -208,20 +207,6 @@ def test_box_signature_is_rank_comparison():
             for i, p in enumerate(P.points):
                 assert (rank[i] >= right) == (p[a] > q[a])
                 assert (rank[i] < left) == (p[a] < q[a])
-
-
-# --- minimal convex ranges -----------------------------------------------------
-
-
-def test_minimal_convex_ranges_counts():
-    ps = random_pointset(random.Random(3), 6, 2)
-    assert sum(1 for _ in minimal_convex_ranges(ps, 3)) == 20
-    singles = list(minimal_convex_ranges(ps, 1))
-    assert len(singles) == 6 and all(len(h.indices) == 1 for h in singles)
-    full = list(minimal_convex_ranges(ps, 6))
-    assert len(full) == 1 and full[0].indices == tuple(range(6))
-    with pytest.raises(ValueError):
-        next(minimal_convex_ranges(ps, 7))
 
 
 # --- max_subset_avoiding -------------------------------------------------------

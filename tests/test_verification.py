@@ -1,5 +1,6 @@
 """verification: exact verdicts, counting bound, piercing."""
 
+import dataclasses
 import random
 from fractions import Fraction as F
 from itertools import combinations
@@ -36,6 +37,8 @@ from helpers import (
     brute_verify_boxes,
     brute_verify_convex_2d,
     random_pointset,
+    slow_verify_boxes,
+    slow_verify_convex,
 )
 
 
@@ -188,6 +191,103 @@ def test_verify_dispatcher():
     net = WeightedNet(((F(2), F(2)),), EpsilonProfile((F(1, 2),)))
     a = verify_weighted_net(ps, net, RangeSpaceKind.AXIS_PARALLEL_BOXES)
     assert a.kind is RangeSpaceKind.AXIS_PARALLEL_BOXES
+
+
+@pytest.mark.parametrize(
+    "kind, want",
+    [
+        ("boxes", RangeSpaceKind.AXIS_PARALLEL_BOXES),
+        ("convex", RangeSpaceKind.CONVEX_SETS),
+        (RangeSpaceKind.AXIS_PARALLEL_BOXES, RangeSpaceKind.AXIS_PARALLEL_BOXES),
+        (RangeSpaceKind.CONVEX_SETS, RangeSpaceKind.CONVEX_SETS),
+    ],
+)
+def test_verify_dispatcher_parses_kind(kind, want):
+    ps = P2((0, 0), (4, 2), (1, 4), (3, 1))
+    net = WeightedNet(((F(2), F(2)),), EpsilonProfile((F(1, 2),)))
+    assert verify_weighted_net(ps, net, kind).kind is want
+
+
+def test_verify_dispatcher_rejects_unknown_kind():
+    ps = P2((0, 0), (4, 2), (1, 4), (3, 1))
+    net = WeightedNet(((F(2), F(2)),), EpsilonProfile((F(1, 2),)))
+    with pytest.raises(ValueError):
+        verify_weighted_net(ps, net, "disks")
+
+
+def test_verify_dispatcher_budget_caps_convex_only():
+    rng = random.Random(61)
+    ps = random_pointset(rng, 30, 2, lo=-99, hi=99)
+    net = WeightedNet(((F(0), F(0)),), EpsilonProfile((F(1, 2),)))
+    with pytest.raises(BudgetExceededError):
+        verify_weighted_net(ps, net, "convex", budget=10)
+    rep = verify_weighted_net(ps, net, "boxes", max_violations=1, budget=10)
+    assert len(rep.violations) <= 1
+
+
+# --- the shared level loop against the per-kind loops ----------------------------
+
+
+def _differential_net(rng, ps, k):
+    """k net points: input points (on repeated coordinates and duplicates),
+    points on segments between input points (hull edges among them), and
+    half-integer points; thresholds may repeat, and the top one may need
+    every input point (t = n)."""
+    pts = []
+    for _ in range(k):
+        roll = rng.random()
+        if roll < 0.35:
+            pts.append(rng.choice(ps.points))
+        elif roll < 0.65:
+            a, b = rng.sample(ps.points, 2)
+            j = F(rng.randint(0, 4), 4)
+            pts.append(tuple(x + j * (y - x) for x, y in zip(a, b)))
+        else:
+            pts.append(tuple(F(rng.randint(-9, 9), 2) for _ in range(ps.dim)))
+    n = ps.n
+    cuts = sorted(rng.choice([F(1, 5), F(2, 5), F(1, 2), F(3, 5), F(4, 5), F(n - 1, n)])
+                  for _ in range(k))
+    if rng.random() < 0.3:
+        cuts = [cuts[0]] * k
+    return WeightedNet(tuple(pts), EpsilonProfile(tuple(cuts)))
+
+
+def _differential_sets(rng, d, count, n_max):
+    sets = []
+    for _ in range(count):
+        ps = random_pointset(rng, rng.randint(3, n_max), d, lo=-4, hi=4, distinct=False)
+        if rng.random() < 0.5:
+            ps = PointSet(d, ps.points + (rng.choice(ps.points),))
+        sets.append(ps)
+    return sets
+
+
+def _same_report(got, want):
+    assert dataclasses.replace(got, elapsed=0.0) == want
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_box_levels_match_per_kind_loop(d):
+    rng = random.Random(700 + d)
+    for ps in _differential_sets(rng, d, 25, 9):
+        for cap in (1, 3, 16):
+            net = _differential_net(rng, ps, rng.randint(1, 3))
+            _same_report(
+                verify_weighted_net_boxes(ps, net, max_violations=cap),
+                slow_verify_boxes(ps, net, max_violations=cap),
+            )
+
+
+@pytest.mark.parametrize("d, count, n_max", [(2, 25, 9), (3, 8, 7)])
+def test_convex_levels_match_per_kind_loop(d, count, n_max):
+    rng = random.Random(710 + d)
+    for ps in _differential_sets(rng, d, count, n_max):
+        for cap in (1, 3, 16):
+            net = _differential_net(rng, ps, rng.randint(1, 3 if d == 2 else 2))
+            _same_report(
+                verify_weighted_net_convex(ps, net, max_violations=cap),
+                slow_verify_convex(ps, net, max_violations=cap),
+            )
 
 
 # --- convex verification ---------------------------------------------------------
