@@ -128,7 +128,7 @@ def _run_construction(P: PointSet, kind: RangeSpaceKind, size: int, args):
 
 def cmd_construct(args, argv) -> int:
     P = read_pointset(args.input)
-    kind = RangeSpaceKind.parse(args.ranges)
+    kind = RangeSpaceKind(args.ranges)
     started = time.perf_counter()
     sections: dict = {}
     try:
@@ -171,7 +171,7 @@ def cmd_verify(args, argv) -> int:
         )
     eps = _parse_eps(args.eps)
     net = WeightedNet(net_points.points, eps)
-    kind = RangeSpaceKind.parse(args.ranges)
+    kind = RangeSpaceKind(args.ranges)
     started = time.perf_counter()
     sections: dict = {}
     try:
@@ -338,7 +338,7 @@ def _search(P, kind, candidates, size):
 
 def cmd_search(args, argv) -> int:
     P = read_pointset(args.input)
-    kind = RangeSpaceKind.parse(args.ranges)
+    kind = RangeSpaceKind(args.ranges)
     if P.dim != 2:
         raise ValueError("search supports planar inputs only")
     max_n = SEARCH_MAX_N[kind]

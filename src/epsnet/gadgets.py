@@ -46,10 +46,9 @@ from .geometry import (
     frac,
     hull2d,
     integer_coords,
-    point_in_hull,
     polytopes_intersect,
 )
-from .ranges import max_subset_avoiding
+from .ranges import hull_holds, max_subset_avoiding
 from .verification import pierceable_by_two
 
 _ZERO = Fraction(0)
@@ -153,7 +152,7 @@ def _fmt(q: Point) -> str:
 
 def _holds(body: ConvexBody, q: Point) -> bool:
     if isinstance(body, SubsetHull):
-        return point_in_hull(q, body)
+        return hull_holds(body.base, q)(sum(1 << i for i in body.indices))
     return body.contains(q)
 
 
@@ -289,8 +288,11 @@ def _check_oracle_threshold(instance, claim) -> ClaimResult:
     P = instance.pointset
     pairs = threshold_probe_pairs(instance, claim.trials, claim.seed)
     facets = _hull_facets(P)
+    # one outside test per probe object: the structured pairs share theirs
+    probes = {id(q): q for pair in pairs for q in pair}
+    outside = {key: _outside(facets, q) for key, q in probes.items()}
     for p1, p2 in pairs:
-        kept = [q for q in (p1, p2) if not _outside(facets, q)]
+        kept = [q for q in (p1, p2) if not outside[id(q)]]
         if kept:
             size = max_subset_avoiding(P, kept, stop_at=claim.threshold)
         else:

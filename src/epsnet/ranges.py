@@ -28,6 +28,8 @@ the point's place among the sorted coordinates on each axis
 1996) every input point is its per-axis positions, every region a window of
 positions, and the region scan compares no coordinates.  Search reduces
 each candidate net point once and runs its pair loop on the signatures.
+The same masks decide subset-hull membership (``hull_holds``): in d <= 3 a
+subset's hull misses q iff the subset lies inside one of q's masks.
 """
 
 from __future__ import annotations
@@ -38,15 +40,17 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import DegenerateInputError, UnsupportedDimensionError
 from .geometry import (
     Point,
     PointSet,
+    SubsetHull,
     as_point,
     common_integer_coords,
     frac,
+    point_in_hull,
 )
 
 _ZERO = Fraction(0)
@@ -139,13 +143,6 @@ class RangeSpaceKind(Enum):
     CONVEX_SETS = "convex"
     AXIS_PARALLEL_BOXES = "boxes"
 
-    @classmethod
-    def parse(cls, text: str) -> "RangeSpaceKind":
-        for kind in cls:
-            if kind.value == text:
-                return kind
-        raise ValueError(f"unknown range space {text!r} (use 'convex' or 'boxes')")
-
 
 # ---------------------------------------------------------------------------
 # counting
@@ -181,6 +178,7 @@ def box_signature(P: PointSet, q: Point) -> tuple[tuple[int, int], ...]:
     strictly above q there iff r >= bisect_right, and strictly below iff
     r < bisect_left, so these two integers stand in for q's coordinate in
     every comparison the region scan makes."""
+    q = as_point(q, P.dim)
     return tuple(
         (bisect_right(coords, q[a]), bisect_left(coords, q[a]))
         for a, (coords, _, _) in enumerate(_axis_orders(P))
@@ -347,6 +345,21 @@ def _mask_order(masks: set[int]) -> tuple[int, ...]:
     """Masks by descending popcount, equal popcounts by ascending value: an
     order of the masks alone, whatever order they were found in."""
     return tuple(sorted(masks, key=lambda m: (-m.bit_count(), m)))
+
+
+def hull_holds(P: PointSet, q: Point) -> Callable[[int], bool]:
+    """A test ``holds(mask)``: does the hull of P's points in a non-empty
+    bitmask hold q?  In d <= 3 it reads q's :func:`_candidate_masks` once: a
+    hull misses q iff its subset lies in one of them (every subset whose
+    hull misses q is strictly separable from q, and no mask's hull meets
+    q).  In d >= 4 each call is the exact LP of ``point_in_hull``."""
+    q = as_point(q, P.dim)
+    if P.dim > 3:
+        return lambda mask: point_in_hull(
+            q, SubsetHull(P, tuple(i for i in range(P.n) if mask >> i & 1))
+        )
+    outside = [~m for m in _candidate_masks(P, q)]
+    return lambda mask: all(map(mask.__and__, outside))
 
 
 def max_subset_avoiding(

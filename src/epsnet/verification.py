@@ -13,6 +13,10 @@ scanning the regions ``ranges.box_regions_avoiding`` yields for every
 each in O(n) - decides level i.  The witness is the bounding box of the
 region's points, which dodges the same net points and holds the same
 count.  Repeated coordinates and duplicate points need no special case.
+
+Convex verdicts sweep the hulls of t_i = floor(eps_i * n) + 1 points and
+ask ``ranges.hull_holds`` which net points each holds: the avoidance
+oracle's masks in d <= 3, the exact LP in d >= 4.
 """
 
 from __future__ import annotations
@@ -30,10 +34,6 @@ from .geometry import (
     Point,
     PointSet,
     SubsetHull,
-    common_integer_coords,
-    hull2d,
-    point_in_convex_polygon,
-    point_in_hull,
     polytopes_intersect,
 )
 from .ranges import (
@@ -43,6 +43,7 @@ from .ranges import (
     WeightedNet,
     box_regions_avoiding,
     count_in_box,
+    hull_holds,
 )
 
 DEFAULT_CONVEX_BUDGET = 2_000_000
@@ -191,17 +192,15 @@ def verify_weighted_net_boxes(
 
 
 def convex_budget_required(n: int, profile: EpsilonProfile) -> int:
-    return sum(comb(n, int(e * n) + 1) for e in profile.eps if int(e * n) + 1 <= n)
+    t = profile.min_strict_count
+    return sum(comb(n, t(level, n)) for level in range(1, profile.k + 1))
 
 
-def _budget_message(P: PointSet, profile: EpsilonProfile, budget: int) -> str:
-    n = P.n
-    need = convex_budget_required(n, profile)
+def _budget_message(n: int, profile: EpsilonProfile, budget: int, need: int) -> str:
     n_fit = n
     while n_fit > 1 and convex_budget_required(n_fit, profile) > budget:
         n_fit -= 1
-    e1 = profile.eps[0]
-    t = int(e1 * n) + 1
+    t = profile.min_strict_count(1, n)
     while t <= n and comb(n, t) > budget:
         t += 1
     hint = f"reduce n to <= {n_fit}"
@@ -223,48 +222,33 @@ def verify_weighted_net_convex(
 
     Level i checks all hulls of t_i = floor(eps_i * n) + 1 points: a convex
     range with more than eps_i * n points contains such a subset, and its
-    hull needs the same net points.  In the plane the hulls are integer
-    polygons over the points in lexicographic order; otherwise membership
-    is the exact LP of ``point_in_hull``.  Raises BudgetExceededError (with
-    the required figure) when the binomial enumeration would be too large.
+    hull needs the same net points; ``hull_holds`` decides them on point
+    bitmasks, taken in lexicographic point order in the plane and in index
+    order otherwise.  Raises BudgetExceededError (with the required figure)
+    when the binomial enumeration would be too large.
     """
     start = time.perf_counter()
     n = P.n
     required = convex_budget_required(n, net.profile)
     if required > budget:
         raise BudgetExceededError(
-            _budget_message(P, net.profile, budget), required=required
+            _budget_message(n, net.profile, budget, required), required=required
         )
-    if P.dim == 2:
-        pts, net_pts = common_integer_coords(P, net.points)
-        order = sorted(range(n), key=lambda i: pts[i])
-
-        def hull_of(idx):
-            return hull2d([pts[i] for i in idx])
-
-        def count_in(hull, qs):
-            return sum(1 for q in qs if point_in_convex_polygon(q, hull) >= 0)
-
-    else:
-        pts, net_pts, order = P.points, net.points, range(n)
-
-        def hull_of(idx):
-            return SubsetHull(P, idx)
-
-        def count_in(hull, qs):
-            return sum(1 for q in qs if point_in_hull(q, hull))
+    order = sorted(range(n), key=lambda i: P.points[i]) if P.dim == 2 else range(n)
+    bits = [1 << i for i in order]
+    net_holds = [hull_holds(P, q) for q in net.points]
 
     def scan(level, t):
-        for idx in itertools.combinations(order, t):
-            yield idx if count_in(hull_of(idx), net_pts) < level else None
+        for subset in itertools.combinations(bits, t):
+            mask = sum(subset)
+            yield mask if sum([h(mask) for h in net_holds]) < level else None
 
-    def violation(level, t, idx):
-        hull = hull_of(idx)
+    def violation(level, t, mask):
         return Violation(
             level,
-            SubsetHull(P, tuple(sorted(idx))),
-            count_in(hull, net_pts),
-            count_in(hull, pts),
+            SubsetHull(P, tuple(i for i in range(n) if mask >> i & 1)),
+            sum(h(mask) for h in net_holds),
+            sum(hull_holds(P, p)(mask) for p in P.points),
         )
 
     return _verify_levels(

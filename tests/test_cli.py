@@ -382,7 +382,7 @@ def test_search_matches_slow_search(kind, family, size):
     the search that queried every net by its points, on random small sets;
     box inputs repeat coordinates and points."""
     rng = random.Random(f"{kind}:{family}:{size}")
-    kind = RangeSpaceKind.parse(kind)
+    kind = RangeSpaceKind(kind)
     for _ in range(8):
         if kind is RangeSpaceKind.AXIS_PARALLEL_BOXES:
             n, span = rng.randint(2, 8), 3

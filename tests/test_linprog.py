@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from epsnet import linprog
-from epsnet.gadgets import certify, gadget_five_clusters, gadget_simplex
+from epsnet.gadgets import certify, gadget_hexagon_3d, gadget_simplex
 from epsnet.linprog import LPResult, feasible_point, solve
 
 from helpers import DenseTableau, FractionTableau, solve_unique
@@ -387,8 +387,8 @@ def test_sparse_pivot_matches_dense_on_random_lps(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "make", [lambda: gadget_five_clusters(2), lambda: gadget_simplex(4)],
-    ids=["five-clusters-k2", "simplex-d4"],
+    "make", [gadget_hexagon_3d, lambda: gadget_simplex(4)],
+    ids=["hexagon-3d", "simplex-d4"],
 )
 def test_certify_reports_equal_under_both_tableaux(monkeypatch, make):
     instance = make()

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from epsnet import ranges
-from epsnet.errors import UnsupportedDimensionError
+from epsnet.errors import DimensionMismatchError, UnsupportedDimensionError
 from epsnet.gadgets import (
     ClaimKind,
     gadget_hexagon_3d,
@@ -88,10 +88,10 @@ def test_weighted_net_validation():
 
 
 def test_range_space_kind_parse():
-    assert RangeSpaceKind.parse("convex") is RangeSpaceKind.CONVEX_SETS
-    assert RangeSpaceKind.parse("boxes") is RangeSpaceKind.AXIS_PARALLEL_BOXES
+    assert RangeSpaceKind("convex") is RangeSpaceKind.CONVEX_SETS
+    assert RangeSpaceKind("boxes") is RangeSpaceKind.AXIS_PARALLEL_BOXES
     with pytest.raises(ValueError):
-        RangeSpaceKind.parse("disks")
+        RangeSpaceKind("disks")
 
 
 # --- count_in_box ------------------------------------------------------------
@@ -392,6 +392,61 @@ def test_avoid_requires_points():
     ps = P2((0, 0), (1, 1))
     with pytest.raises(ValueError):
         max_subset_avoiding(ps, [])
+
+
+# --- subset-hull membership ------------------------------------------------------
+
+
+def _hull_membership_cases(rng, d, count):
+    """(P, probes) on degenerate sets: repeated points, and in d >= 2 every
+    point on one line or (d = 3) one slanted plane; probes are input points,
+    points on segments between input points (hull edges among them) and
+    points strictly outside P's bounding box."""
+    for trial in range(count):
+        n = rng.randint(2, 5)
+        shape = trial % 3 if d > 1 else 0
+        if shape == 1:  # collinear
+            a = [rng.randint(-2, 2) for _ in range(d)]
+            v = [rng.randint(-2, 2) or 1 for _ in range(d)]
+            pts = [[a[i] + s * v[i] for i in range(d)] for s in rng.sample(range(-3, 4), n)]
+        else:
+            pts = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(n)]
+            if shape == 2 and d == 3:  # coplanar: z = x - y
+                pts = [[x, y, x - y] for x, y, _ in pts]
+        pts.append(rng.choice(pts))
+        P = PointSet(d, [tuple(F(c) for c in p) for p in pts])
+        probes = list(P.points[:2])
+        for _ in range(3):
+            a, b = rng.sample(P.points, 2)
+            j = F(rng.randint(0, 4), 4)
+            probes.append(tuple(x + j * (y - x) for x, y in zip(a, b)))
+        probes.append(tuple(F(rng.randint(-5, 5), 2) for _ in range(d)))
+        probes.append(tuple(F(3) for _ in range(d)))
+        yield P, probes
+
+
+@pytest.mark.parametrize("d, count", [(1, 10), (2, 12), (3, 12), (4, 2)])
+def test_hull_holds_matches_lp_and_caratheodory(d, count):
+    """``hull_holds`` against the LP of ``point_in_hull`` and the
+    Caratheodory brute force, on every non-empty subset; d = 4 is the LP
+    path itself."""
+    rng = random.Random(730 + d)
+    for P, probes in _hull_membership_cases(rng, d, count):
+        for q in probes:
+            holds = ranges.hull_holds(P, q)
+            for mask in range(1, 1 << P.n):
+                idx = tuple(i for i in range(P.n) if mask >> i & 1)
+                want = point_in_hull(q, SubsetHull(P, idx))
+                assert want == brute_in_hull(q, [P.points[i] for i in idx])
+                assert holds(mask) == want, (P.points, q, idx)
+
+
+def test_hull_holds_checks_the_dimension():
+    ps = P2((0, 0), (1, 2), (2, 1))
+    with pytest.raises(DimensionMismatchError):
+        ranges.hull_holds(ps, (F(1), F(1), F(0)))
+    with pytest.raises(DimensionMismatchError):
+        ranges.hull_holds(ps, (F(1),))
 
 
 # --- the mask descent ----------------------------------------------------------

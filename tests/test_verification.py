@@ -8,7 +8,13 @@ from math import comb
 
 import pytest
 
-from epsnet.errors import BudgetExceededError
+from epsnet.errors import BudgetExceededError, DimensionMismatchError
+from epsnet.gadgets import (
+    certify,
+    gadget_five_clusters,
+    gadget_hexagon_3d,
+    gadget_simplex,
+)
 from epsnet.geometry import (
     HPolytope,
     PointSet,
@@ -278,7 +284,7 @@ def test_box_levels_match_per_kind_loop(d):
             )
 
 
-@pytest.mark.parametrize("d, count, n_max", [(2, 25, 9), (3, 8, 7)])
+@pytest.mark.parametrize("d, count, n_max", [(1, 25, 9), (2, 25, 9), (3, 8, 7)])
 def test_convex_levels_match_per_kind_loop(d, count, n_max):
     rng = random.Random(710 + d)
     for ps in _differential_sets(rng, d, count, n_max):
@@ -288,6 +294,48 @@ def test_convex_levels_match_per_kind_loop(d, count, n_max):
                 verify_weighted_net_convex(ps, net, max_violations=cap),
                 slow_verify_convex(ps, net, max_violations=cap),
             )
+
+
+@pytest.mark.parametrize("verify", [verify_weighted_net_boxes, verify_weighted_net_convex])
+@pytest.mark.parametrize("q", [(1, 1, 99), (1,)])
+def test_net_of_another_dimension_is_refused(verify, q):
+    ps = P2((0, 0), (1, 2), (2, 1), (3, 3))
+    net = WeightedNet((tuple(F(c) for c in q),), EpsilonProfile((F(1, 2),)))
+    with pytest.raises(DimensionMismatchError):
+        verify(ps, net)
+
+
+def _lp_hull_holds(P, q):
+    return lambda mask: point_in_hull(
+        q, SubsetHull(P, tuple(i for i in range(P.n) if mask >> i & 1))
+    )
+
+
+def test_no_lp_for_subset_hulls_in_low_dimensions(monkeypatch):
+    """In d <= 3 subset-hull membership reads the oracle masks: with the LP
+    membership test made to raise, convex verification and certify give the
+    reports of references that decide membership by polygons and LPs."""
+    rng = random.Random(720)
+    cases = [
+        (ps, _differential_net(rng, ps, rng.randint(1, 2)))
+        for d in (1, 2, 3)
+        for ps in _differential_sets(rng, d, 6, 7)
+    ]
+    instances = [gadget_five_clusters(k) for k in (1, 2, 3)]
+    instances += [gadget_hexagon_3d(), gadget_simplex(3)]
+    want_verify = [slow_verify_convex(ps, net) for ps, net in cases]
+    monkeypatch.setattr("epsnet.gadgets.hull_holds", _lp_hull_holds)
+    want_certify = [certify(g) for g in instances]
+    monkeypatch.undo()
+
+    def no_lp(*args):
+        raise AssertionError("LP hull membership in d <= 3")
+
+    monkeypatch.setattr("epsnet.ranges.point_in_hull", no_lp)
+    monkeypatch.setattr("epsnet.geometry.point_in_hull", no_lp)
+    for (ps, net), want in zip(cases, want_verify):
+        _same_report(verify_weighted_net_convex(ps, net), want)
+    assert [certify(g) for g in instances] == want_certify
 
 
 # --- convex verification ---------------------------------------------------------
