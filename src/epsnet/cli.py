@@ -51,7 +51,7 @@ from .ranges import (
     max_mask_intersection,
 )
 from .svg import render_svg
-from .verification import verify_weighted_net
+from .verification import DEFAULT_CONVEX_BUDGET, verify_weighted_net
 
 DEFAULT_SEARCH_BUDGET = 500_000
 SEARCH_MAX_N = {RangeSpaceKind.CONVEX_SETS: 12, RangeSpaceKind.AXIS_PARALLEL_BOXES: 20}
@@ -411,9 +411,10 @@ def build_parser() -> argparse.ArgumentParser:
     con.add_argument(
         "--budget",
         type=int,
-        default=2_000_000,
-        help="cap on the subset hulls --verify may enumerate for convex"
-        " ranges; boxes enumerate none",
+        default=DEFAULT_CONVEX_BUDGET,
+        help="cap on the subset hulls --verify may sweep for convex ranges:"
+        " only for a failing level in d <= 3, for every level in d >= 4;"
+        " boxes sweep none",
     )
     con.set_defaults(func=cmd_construct)
 
@@ -425,8 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument(
         "--budget",
         type=int,
-        default=5_000_000,
-        help="cap on the subset hulls convex verification may enumerate",
+        default=DEFAULT_CONVEX_BUDGET,
+        help="cap on the subset hulls convex verification may sweep: only"
+        " for a failing level in d <= 3, for every level in d >= 4",
     )
     ver.set_defaults(func=cmd_verify)
 

@@ -439,28 +439,6 @@ def hull2d(pts: Sequence[tuple]) -> list[tuple]:
     return lower[:-1] + upper[:-1]
 
 
-def point_in_convex_polygon(q, poly: Sequence[tuple]) -> int:
-    """+1 strictly inside, 0 on the boundary, -1 outside a CCW convex polygon."""
-    m = len(poly)
-    if m == 1:
-        return 0 if tuple(q) == tuple(poly[0]) else -1
-    if m == 2:
-        a, b = poly
-        if orient2d(a, b, q) != 0:
-            return -1
-        t0 = min(a, b)
-        t1 = max(a, b)
-        return 0 if t0 <= tuple(q) <= t1 else -1
-    on_edge = False
-    for i in range(m):
-        s = orient2d(poly[i], poly[(i + 1) % m], q)
-        if s < 0:
-            return -1
-        if s == 0:
-            on_edge = True
-    return 0 if on_edge else 1
-
-
 def clip_polygon_halfplane(poly: list[tuple], a, b) -> list[tuple]:
     """Sutherland-Hodgman clip of a convex polygon to the closed halfplane
     left of the line a->b.

@@ -14,9 +14,15 @@ each in O(n) - decides level i.  The witness is the bounding box of the
 region's points, which dodges the same net points and holds the same
 count.  Repeated coordinates and duplicate points need no special case.
 
-Convex verdicts sweep the hulls of t_i = floor(eps_i * n) + 1 points and
-ask ``ranges.hull_holds`` which net points each holds: the avoidance
-oracle's masks in d <= 3, the exact LP in d >= 4.
+Convex verdicts rest on the hulls of t_i = floor(eps_i * n) + 1 points,
+the minimal convex ranges of level i.  In d <= 3 the avoidance oracle
+decides each level: it fails iff some k-i+1 net points have
+``ranges.max_subset_avoiding`` >= t_i (for one avoided point this is a
+halfspace-depth query), a handful of queries in all.  Only a failing level
+sweeps its C(n, t_i) subset hulls, asking ``ranges.hull_holds`` which net
+points each holds, to list its violations; in d >= 4 every level is swept
+with the exact LP.  ``ranges_examined`` counts the subset hulls a verdict
+covers, Sum C(n, t_i), whether a level was swept or settled by the oracle.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable, Hashable, Iterator, Optional, Sequence, Union
+from typing import Callable, Hashable, Iterable, Optional, Sequence, Union
 
 from .errors import BudgetExceededError
 from .geometry import (
@@ -44,9 +50,10 @@ from .ranges import (
     box_regions_avoiding,
     count_in_box,
     hull_holds,
+    max_subset_avoiding,
 )
 
-DEFAULT_CONVEX_BUDGET = 2_000_000
+DEFAULT_CONVEX_BUDGET = 5_000_000
 DEFAULT_PIERCE_BUDGET = 1 << 16
 
 
@@ -100,18 +107,20 @@ def _verify_levels(
     kind: RangeSpaceKind,
     P: PointSet,
     net: WeightedNet,
-    scan: Callable[[int, int], Iterator[Optional[Hashable]]],
+    scan: Callable[[int, int], Union[int, Iterable[Optional[Hashable]]]],
     violation: Callable[[int, int, Hashable], Violation],
     max_violations: int,
     start: float,
 ) -> VerificationReport:
     """The weighted-net rule, level by level, for any range kind.
 
-    ``scan(level, t)`` yields one item per range it examines: None, or the
-    key of a range holding at least t points and fewer than ``level`` net
-    points.  Every such range counts; the first ``max_violations``
-    distinct keys are listed, each at the lowest level it violates, and
-    ``violation(level, t, key)`` builds the listed entry.
+    ``scan(level, t)`` returns an iterable with one item per range it
+    examines: None, or the key of a range holding at least t points and
+    fewer than ``level`` net points.  Every such range counts; the first
+    ``max_violations`` distinct keys are listed, each at the lowest level
+    it violates, and ``violation(level, t, key)`` builds the listed entry.
+    A scan that settled the level as passing without listing its ranges
+    returns instead the number of ranges the verdict covers.
     """
     n = P.n
     verdicts = []
@@ -121,8 +130,13 @@ def _verify_levels(
     examined = 0
     for level in range(1, net.k + 1):
         t = net.profile.min_strict_count(level, n)
+        ranges = scan(level, t)
+        if isinstance(ranges, int):
+            examined += ranges
+            verdicts.append(True)
+            continue
         level_ok = True
-        for key in scan(level, t):
+        for key in ranges:
             examined += 1
             if key is None:
                 continue
@@ -220,28 +234,48 @@ def verify_weighted_net_convex(
 ) -> VerificationReport:
     """Exact convex-range verification via minimal t-subset hulls.
 
-    Level i checks all hulls of t_i = floor(eps_i * n) + 1 points: a convex
-    range with more than eps_i * n points contains such a subset, and its
-    hull needs the same net points; ``hull_holds`` decides them on point
-    bitmasks, taken in lexicographic point order in the plane and in index
-    order otherwise.  Raises BudgetExceededError (with the required figure)
-    when the binomial enumeration would be too large.
+    Level i concerns the hulls of t_i = floor(eps_i * n) + 1 points: a
+    convex range with more than eps_i * n points contains such a subset, and
+    its hull needs the same net points.  In d <= 3 the level fails iff some
+    k-i+1 net points have ``max_subset_avoiding`` >= t_i; a passing level
+    adds its C(n, t_i) hulls to ``ranges_examined`` without visiting them.
+    A failing level, and every level in d >= 4, sweeps all its hulls and
+    asks ``hull_holds`` which net points each holds, on point bitmasks
+    taken in lexicographic point order in the plane and in index order
+    otherwise; violations and ``total_violations`` come from that sweep.
+    Raises BudgetExceededError (with the figure Sum C(n, t_i)) when a sweep
+    is needed and that figure is over ``budget``: in d <= 3 a passing net
+    is never refused.
     """
     start = time.perf_counter()
-    n = P.n
+    n, k = P.n, net.k
+    net_holds = [hull_holds(P, q) for q in net.points]
+    if P.dim <= 3:
+        swept = set()
+        for level in range(1, k + 1):
+            t = net.profile.min_strict_count(level, n)
+            if any(
+                max_subset_avoiding(P, Q, stop_at=t) >= t
+                for Q in itertools.combinations(net.points, k - level + 1)
+            ):
+                swept.add(level)
+    else:
+        swept = set(range(1, k + 1))
     required = convex_budget_required(n, net.profile)
-    if required > budget:
+    if swept and required > budget:
         raise BudgetExceededError(
             _budget_message(n, net.profile, budget, required), required=required
         )
     order = sorted(range(n), key=lambda i: P.points[i]) if P.dim == 2 else range(n)
     bits = [1 << i for i in order]
-    net_holds = [hull_holds(P, q) for q in net.points]
 
-    def scan(level, t):
+    def sweep(level, t):
         for subset in itertools.combinations(bits, t):
             mask = sum(subset)
             yield mask if sum([h(mask) for h in net_holds]) < level else None
+
+    def scan(level, t):
+        return sweep(level, t) if level in swept else comb(n, t)
 
     def violation(level, t, mask):
         return Violation(
@@ -264,8 +298,9 @@ def verify_weighted_net(
     budget: int = DEFAULT_CONVEX_BUDGET,
 ) -> VerificationReport:
     """Verify ``net`` for the range kind given as a member or its value
-    ("boxes", "convex"); ``budget`` caps the subset hulls of convex
-    verification and does not apply to boxes."""
+    ("boxes", "convex"); ``budget`` caps the subset hulls convex
+    verification sweeps (failing levels in d <= 3, every level in d >= 4)
+    and does not apply to boxes."""
     if RangeSpaceKind(kind) is RangeSpaceKind.AXIS_PARALLEL_BOXES:
         return verify_weighted_net_boxes(P, net, max_violations)
     return verify_weighted_net_convex(P, net, max_violations, budget)

@@ -31,7 +31,6 @@ from epsnet.geometry import (
     hull2d,
     integer_coords,
     orient2d,
-    point_in_convex_polygon,
     point_in_hull,
 )
 from epsnet.linprog import ONE, ZERO
@@ -103,6 +102,27 @@ def affine_rank(pts):
 
 
 # --- membership oracles ------------------------------------------------------
+
+
+def point_in_convex_polygon(q, poly):
+    """+1 strictly inside, 0 on the boundary, -1 outside a CCW convex polygon
+    of integer points (as ``hull2d`` returns it)."""
+    m = len(poly)
+    if m == 1:
+        return 0 if tuple(q) == tuple(poly[0]) else -1
+    if m == 2:
+        a, b = poly
+        if orient2d(a, b, q) != 0:
+            return -1
+        return 0 if min(a, b) <= tuple(q) <= max(a, b) else -1
+    on_edge = False
+    for i in range(m):
+        s = orient2d(poly[i], poly[(i + 1) % m], q)
+        if s < 0:
+            return -1
+        if s == 0:
+            on_edge = True
+    return 0 if on_edge else 1
 
 
 def brute_in_hull(q, pts):
@@ -268,8 +288,6 @@ def brute_verify_boxes(P, net):
 def brute_max_subset_avoiding_2d(P, avoid):
     """Largest subset whose hull contains no avoided point, over all 2^n
     subsets (d=2)."""
-    from epsnet.geometry import hull2d, integer_coords, point_in_convex_polygon
-
     n = P.n
     scale, ipts = integer_coords(P)
     iavoid = [tuple(c * scale for c in q) for q in avoid]
@@ -287,8 +305,6 @@ def brute_max_subset_avoiding_2d(P, avoid):
 
 def brute_verify_convex_2d(P, net):
     """Per-level verdicts over the hulls of all 2^n subsets (d=2)."""
-    from epsnet.geometry import hull2d, integer_coords, point_in_convex_polygon
-
     n = P.n
     k = net.k
     scale, ipts = integer_coords(P)

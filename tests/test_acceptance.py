@@ -31,7 +31,7 @@ from epsnet.gadgets import (
     gadget_simplex,
     threshold_probe_pairs,
 )
-from epsnet.geometry import hull2d, integer_coords, point_in_convex_polygon
+from epsnet.geometry import hull2d, integer_coords
 from epsnet.ranges import EpsilonProfile, WeightedNet, max_subset_avoiding
 from epsnet.verification import (
     counting_bound,
@@ -41,6 +41,7 @@ from epsnet.verification import (
 from helpers import (
     brute_max_subset_avoiding_2d,
     brute_verify_boxes,
+    point_in_convex_polygon,
     random_pointset,
 )
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from fractions import Fraction as F
 from itertools import combinations, combinations_with_replacement, product
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,7 @@ from epsnet.cli import (
     exit_code_for,
     main,
 )
-from epsnet.geometry import PointSet, hull2d, integer_coords, point_in_convex_polygon
+from epsnet.geometry import PointSet, hull2d, integer_coords
 from epsnet.io_formats import (
     json_to_fraction,
     read_pointset,
@@ -34,6 +35,7 @@ from helpers import (
     brute_max_box_count,
     brute_max_subset_avoiding_2d,
     brute_verify_boxes,
+    point_in_convex_polygon,
     slow_arrangement_candidates,
     slow_search,
     subset_box_counts,
@@ -195,18 +197,40 @@ def test_verify_budget_exceeded(workspace, capsys):
 
 def test_construct_planar_convex_pair_over_subset_budget(workspace, capsys):
     # C(30, 19) + C(30, 25) subset hulls exceed the default --budget, but
-    # the planar construction enumerates none of them.  (i, i^2 mod 61) has
-    # no three points on a line and distinct coordinates for i < 30.
+    # the planar construction enumerates none of them, and the verifier
+    # settles both passing levels with the avoidance oracle.  (i, i^2 mod 61)
+    # has no three points on a line and distinct coordinates for i < 30.
     pts = [[i, i * i % 61] for i in range(30)]
     (workspace / "parabola30.json").write_text(json.dumps({"dim": 2, "points": pts}))
     code, out = run(
         capsys,
         "construct", "--ranges", "convex", "--size", "2",
-        "--eps", "3/5,4/5", "--input", "parabola30.json",
+        "--eps", "3/5,4/5", "--input", "parabola30.json", "--verify",
     )
     assert code == 0
     doc = json.loads(out)
     assert "budget" not in doc
+    assert doc["verification"]["verdicts"] == [True, True]
+    assert doc["verification"]["ranges_examined"] == comb(30, 19) + comb(30, 25)
+    validate_report(doc)
+
+
+def test_construct_verify_convex_pair_on_300_points(workspace, capsys):
+    # C(300, 181) + C(300, 241), about 1.5e86 subset hulls: a passing level
+    # is settled by oracle queries without visiting a single one of them.
+    # (i, i^2 mod 601) is in general position for i < 300, as above.
+    pts = [[i, i * i % 601] for i in range(300)]
+    (workspace / "parabola300.json").write_text(json.dumps({"dim": 2, "points": pts}))
+    code, out = run(
+        capsys,
+        "construct", "--ranges", "convex", "--size", "2",
+        "--eps", "3/5,4/5", "--input", "parabola300.json", "--verify",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verification"]["verdicts"] == [True, True]
+    assert doc["verification"]["total_violations"] == 0
+    assert doc["verification"]["ranges_examined"] == comb(300, 181) + comb(300, 241)
     validate_report(doc)
 
 

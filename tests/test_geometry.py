@@ -27,7 +27,6 @@ from epsnet.geometry import (
     hull2d,
     integer_coords,
     orient2d,
-    point_in_convex_polygon,
     point_in_hull,
     polytopes_intersect,
     split_at_count,
@@ -38,6 +37,7 @@ from helpers import (
     brute_separating_hyperplane_outside,
     affine_rank,
     clip_polygon_to_hull,
+    point_in_convex_polygon,
     random_pointset,
     slow_check_general_position,
     slow_clip_polygon_halfplane,

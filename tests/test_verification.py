@@ -8,6 +8,7 @@ from math import comb
 
 import pytest
 
+from epsnet.constructions import construct_convex_pair
 from epsnet.errors import BudgetExceededError, DimensionMismatchError
 from epsnet.gadgets import (
     certify,
@@ -19,9 +20,9 @@ from epsnet.geometry import (
     HPolytope,
     PointSet,
     SubsetHull,
+    centroid,
     hull2d,
     integer_coords,
-    point_in_convex_polygon,
     point_in_hull,
 )
 from epsnet.ranges import (
@@ -29,6 +30,7 @@ from epsnet.ranges import (
     RangeSpaceKind,
     WeightedNet,
     count_in_box,
+    max_subset_avoiding,
 )
 from epsnet.verification import (
     counting_bound,
@@ -42,6 +44,7 @@ from helpers import (
     REPEATED_11,
     brute_verify_boxes,
     brute_verify_convex_2d,
+    point_in_convex_polygon,
     random_pointset,
     slow_verify_boxes,
     slow_verify_convex,
@@ -284,16 +287,67 @@ def test_box_levels_match_per_kind_loop(d):
             )
 
 
+def _threshold_net(rng, ps, k):
+    """k net points that mostly pass: the centroid, input points, points on
+    segments between input points (hull edges among them) and repeats of an
+    earlier net point.  Each level's threshold sits just above its largest
+    avoiding subset (the level passes) or just below it (the level fails)."""
+    pts = []
+    for _ in range(k):
+        roll = rng.random()
+        if roll < 0.35:
+            pts.append(centroid(ps.points))
+        elif roll < 0.55:
+            pts.append(rng.choice(ps.points))
+        elif roll < 0.8 or not pts:
+            a, b = rng.sample(ps.points, 2)
+            j = F(rng.randint(0, 4), 4)
+            pts.append(tuple(x + j * (y - x) for x, y in zip(a, b)))
+        else:
+            pts.append(rng.choice(pts))
+    n = ps.n
+    cuts = []
+    for level in range(1, k + 1):
+        worst = max(max_subset_avoiding(ps, Q) for Q in combinations(pts, k - level + 1))
+        passing = worst < n and (worst == 0 or rng.random() < 0.7)
+        cuts.append(F(2 * worst + 1 if passing else 2 * worst - 1, 2 * n))
+    return WeightedNet(tuple(pts), EpsilonProfile(tuple(sorted(cuts))))
+
+
+_CONSTRUCTION_PROFILES = {
+    2: EpsilonProfile((F(3, 5), F(4, 5))),
+    3: EpsilonProfile((F(5, 7), F(6, 7))),
+}
+
+
 @pytest.mark.parametrize("d, count, n_max", [(1, 25, 9), (2, 25, 9), (3, 8, 7)])
 def test_convex_levels_match_per_kind_loop(d, count, n_max):
+    """Random nets, which mostly fail, plus nets that pass some or all
+    levels: threshold nets on every set, and constructed pairs on sets in
+    general position.  Both oracle-settled and swept levels occur."""
     rng = random.Random(710 + d)
+    cases = []
     for ps in _differential_sets(rng, d, count, n_max):
         for cap in (1, 3, 16):
             net = _differential_net(rng, ps, rng.randint(1, 3 if d == 2 else 2))
-            _same_report(
-                verify_weighted_net_convex(ps, net, max_violations=cap),
-                slow_verify_convex(ps, net, max_violations=cap),
-            )
+            cases.append((ps, net, cap))
+    rng = random.Random(730 + d)
+    for ps in _differential_sets(rng, d, count, n_max):
+        net = _threshold_net(rng, ps, rng.randint(1, 3 if d == 2 else 2))
+        cases.append((ps, net, rng.choice((1, 16))))
+    if d > 1:
+        for n in range(4, n_max + 1):
+            ps = random_pointset(rng, n, d, lo=-9, hi=9, no_collinear=True)
+            net, _ = construct_convex_pair(ps, _CONSTRUCTION_PROFILES[d])
+            cases.append((ps, net, 16))
+    verdicts = set()
+    for ps, net, cap in cases:
+        got = verify_weighted_net_convex(ps, net, max_violations=cap)
+        _same_report(got, slow_verify_convex(ps, net, max_violations=cap))
+        verdicts.add(got.verdicts)
+    assert any(all(v) for v in verdicts)
+    assert any(True in v and False in v for v in verdicts)
+    assert any(not any(v) for v in verdicts)
 
 
 @pytest.mark.parametrize("verify", [verify_weighted_net_boxes, verify_weighted_net_convex])
