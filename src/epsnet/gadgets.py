@@ -11,15 +11,21 @@ threshold, intersection and piercing claims capture the geometric
 obstruction, and oracle threshold claims corroborate the continuum
 statement on a deterministic sample of candidate point pairs.
 
-An oracle threshold claim settles each probe strictly outside conv(P)
-without the avoidance oracle.  Such a probe is strictly separable from all
-of P, so its first oracle mask is the full one, and the largest subset
-avoiding it and another probe is the largest avoiding the other probe
-alone, the same size whether or not the query stops early.  The test is
-exact: integer supporting hyperplanes through d points of P, computed once
-per claim, and a strict comparison, so probes on the hull's boundary still
-go to the oracle.  The sample and every verdict are those of querying the
-oracle on every pair.
+An oracle threshold claim asks the avoidance oracle only about pairs that
+no known witness hull settles.  A witness hull is the hull of the first t
+(the claim's threshold) points of an earlier oracle answer: t points whose
+hull misses that pair's probes.  A later pair with both probes strictly
+outside such a hull leaves at least t points too, so it passes without a
+query.  conv(P) is the first case: a probe strictly outside it is strictly
+separable from all of P, so its first oracle mask is the full one and the
+query drops it; the answer, early stop included, is that for the other
+probe alone, and a pair with both probes outside leaves all of P.  The
+tests are exact: integer supporting hyperplanes through d points of the
+hull's set, and a strict comparison, so a probe on a hull's boundary is
+never settled by that hull.  Only passing pairs are settled, and every
+other pair sends the oracle the probes it was sent before, so the sample,
+the first failing pair, its count and every verdict are those of querying
+the oracle on every pair.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from random import Random
 from typing import Optional, Sequence
 
@@ -48,7 +55,7 @@ from .geometry import (
     integer_coords,
     polytopes_intersect,
 )
-from .ranges import hull_holds, max_subset_avoiding
+from .ranges import hull_holds, max_subset_avoiding_witness
 from .verification import pierceable_by_two
 
 _ZERO = Fraction(0)
@@ -231,46 +238,113 @@ def _check_not_two_pierceable(instance, claim) -> ClaimResult:
     )
 
 
-def _hull_facets(P: PointSet) -> list[tuple[tuple[int, ...], int]]:
+def _hull_facets(
+    P: PointSet, idx: Optional[Sequence[int]] = None
+) -> list[tuple[tuple[int, ...], int]]:
     """Integer ``(normal, offset)`` with ``normal . x <= offset`` for every
-    point of P, one per supporting hyperplane through d points of P.
+    point of P with an index in ``idx`` (all of P by default), one per
+    supporting hyperplane of that subset through d of its points.
 
     Each d-subset with a nonzero normal (the cofactors of its difference
-    vectors) spans a hyperplane.  It is kept, oriented with P on its closed
-    side, when all of P lies on one closed side of it; when all of P lies
-    on it, both orientations are kept.  A full-dimensional P yields its
-    facets, a flat P the hyperplanes through its span, and either way a
-    point strictly beyond one of them lies outside conv(P).  Normals act on
-    the original coordinates: the scale of ``integer_coords`` is folded
-    into them.  O(C(n, d) * n).
+    vectors) spans a hyperplane.  It is kept, oriented with the subset on
+    its closed side, when all of the subset lies on one closed side of it;
+    when all of it lies on the hyperplane, both orientations are kept.  A
+    full-dimensional subset yields its facets, a flat one the hyperplanes
+    through its span, and either way a point strictly beyond one of them
+    lies outside the subset's hull.  The subset is read from P's cached
+    ``integer_coords``, whose scale is folded into the normals; each pair
+    is reduced to primitive integers, so the result depends on the subset's
+    points alone.  A hyperplane is dropped as soon as subset points lie on
+    both sides of it.  O(C(m, d) * m) for m subset points.
     """
     d = P.dim
     scale, ipts = integer_coords(P)
+    if idx is not None:
+        ipts = [ipts[i] for i in idx]
     out = set()
-    for idx in itertools.combinations(range(P.n), d):
-        base = ipts[idx[0]]
-        rows = [[ipts[i][j] - base[j] for j in range(d)] for i in idx[1:]]
+    for sub in itertools.combinations(ipts, d):
+        base = sub[0]
+        rows = [[p[j] - base[j] for j in range(d)] for p in sub[1:]]
         normal = [
             (-1) ** j * (_det([r[:j] + r[j + 1:] for r in rows]) if rows else 1)
             for j in range(d)
         ]
         if not any(normal):
             continue
-        offset = sum(a * b for a, b in zip(normal, base))
-        values = [sum(a * b for a, b in zip(normal, p)) for p in ipts]
-        for sign in (1, -1):
-            if all(sign * (v - offset) <= 0 for v in values):
-                g = gcd(*normal, offset) * sign
-                out.add((tuple(a * scale // g for a in normal), offset // g))
+        offset = sum(map(mul, normal, base))
+        above = below = False
+        for p in ipts:
+            v = sum(map(mul, normal, p)) - offset
+            if v > 0:
+                above = True
+            elif v < 0:
+                below = True
+            if above and below:
+                break
+        else:
+            normal = [a * scale for a in normal]
+            g = gcd(*normal, offset)
+            for sign, beyond in ((1, above), (-1, below)):
+                if not beyond:
+                    g_s = g * sign
+                    out.add((tuple(a // g_s for a in normal), offset // g_s))
     return sorted(out)
 
 
-def _outside(facets: Sequence[tuple[tuple[int, ...], int]], q: Point) -> bool:
-    """Whether q lies strictly beyond one of the hull facets."""
-    den = lcm(*(c.denominator for c in q))
-    iq = [c.numerator * (den // c.denominator) for c in q]
+def _integer_probe(q: Point) -> tuple[tuple[int, ...], int]:
+    """q as integer coordinates over one positive common denominator."""
+    den = lcm(*[c.denominator for c in q])
+    return tuple([c.numerator * (den // c.denominator) for c in q]), den
+
+
+def _outside(
+    facets: Sequence[tuple[tuple[int, ...], int]],
+    probe: tuple[tuple[int, ...], int],
+) -> bool:
+    """Whether the probe, given by :func:`_integer_probe`, lies strictly
+    beyond one of the hull facets."""
+    iq, den = probe
     for normal, offset in facets:
-        if sum(a * b for a, b in zip(normal, iq)) > offset * den:
+        if sum(map(mul, normal, iq)) > offset * den:
+            return True
+    return False
+
+
+class _Probe:
+    """One probe of an oracle threshold claim: its integer form and what is
+    known of it against the witness hulls, as two bitmasks over hull
+    numbers (``out``: strictly outside; ``tried``: tested, not outside)."""
+
+    __slots__ = ("form", "beyond", "out", "tried")
+
+    def __init__(self, q: Point, facets) -> None:
+        self.form = _integer_probe(q)
+        # strictly outside conv(P), hence outside every witness hull
+        self.beyond = _outside(facets, self.form)
+        self.out = -1 if self.beyond else 0
+        self.tried = 0
+
+    def outside(self, h: int, hull) -> bool:
+        """Whether the probe lies strictly outside witness hull h, which is
+        not in ``tried``; the answer is recorded."""
+        bit = 1 << h
+        if self.out & bit:
+            return True
+        if _outside(hull, self.form):
+            self.out |= bit
+            return True
+        self.tried |= bit
+        return False
+
+
+def _shared_hull(a: _Probe, b: _Probe, hulls: list) -> bool:
+    """Whether both probes lie strictly outside one witness hull; hulls
+    known to fail for either probe are skipped."""
+    if a.out & b.out:
+        return True
+    failed = a.tried | b.tried
+    for h, hull in enumerate(hulls):
+        if not failed >> h & 1 and a.outside(h, hull) and b.outside(h, hull):
             return True
     return False
 
@@ -279,34 +353,56 @@ def _check_oracle_threshold(instance, claim) -> ClaimResult:
     """Every sampled pair leaves at least ``threshold`` points whose hull
     misses both probes.
 
-    A probe strictly outside conv(P) is dropped before the oracle query:
-    its first oracle mask is the full one, so ``max_subset_avoiding``
-    returns the same size with or without it, ``stop_at`` included.  A
-    pair with neither probe kept leaves all ``P.n`` points.  The outside
-    test is strict, so probes on a facet, edge or vertex are kept.
+    A probe strictly outside conv(P) is dropped from the oracle query: its
+    first oracle mask is the full one, so ``max_subset_avoiding`` returns
+    the same size with or without it, ``stop_at`` included, and a pair with
+    neither probe kept leaves all ``P.n`` points.  A pair with a probe kept
+    is settled without the oracle when both probes lie strictly outside one
+    witness hull: the hull of the first t = ``threshold`` indices of an
+    earlier oracle answer, t points whose hull misses both probes, so the
+    pair passes.  A probe outside conv(P) is outside every witness hull.
+    All outside tests are strict, so probes on a facet, edge or vertex are
+    never settled by them.
+
+    Only passing pairs are settled, and every other pair asks the oracle
+    about the same probes as before, so the first failing pair, its size
+    and the verdict are those of querying the oracle on every pair, and no
+    probe's masks are built that were not built before.  Each probe is
+    made integer once and tested against each hull at most once.
     """
-    P = instance.pointset
+    P, t = instance.pointset, claim.threshold
     pairs = threshold_probe_pairs(instance, claim.trials, claim.seed)
     facets = _hull_facets(P)
-    # one outside test per probe object: the structured pairs share theirs
-    probes = {id(q): q for pair in pairs for q in pair}
-    outside = {key: _outside(facets, q) for key, q in probes.items()}
+    hulls: list = []  # the facets of witness hull h
+    learned = set()  # the index tuples behind them
+    # one state per probe object: the structured pairs share theirs
+    probes: dict[int, _Probe] = {}
+
+    def state(q: Point) -> _Probe:
+        s = probes.get(id(q))
+        if s is None:
+            s = probes[id(q)] = _Probe(q, facets)
+        return s
+
     for p1, p2 in pairs:
-        kept = [q for q in (p1, p2) if not outside[id(q)]]
-        if kept:
-            size = max_subset_avoiding(P, kept, stop_at=claim.threshold)
-        else:
+        a, b = state(p1), state(p2)
+        kept = [q for q, s in ((p1, a), (p2, b)) if not s.beyond]
+        if not kept:
             size = P.n
-        if size < claim.threshold:
+        elif _shared_hull(a, b, hulls):
+            continue
+        else:
+            size, idx = max_subset_avoiding_witness(P, kept, stop_at=t)
+            if size >= t and idx[:t] not in learned:
+                learned.add(idx[:t])
+                hulls.append(_hull_facets(P, idx[:t]))
+        if size < t:
             return ClaimResult(
                 claim,
                 False,
-                f"only {size} avoid {_fmt(p1)} and {_fmt(p2)}"
-                f" (needed {claim.threshold})",
+                f"only {size} avoid {_fmt(p1)} and {_fmt(p2)} (needed {t})",
             )
-    return ClaimResult(
-        claim, True, f"threshold {claim.threshold} met on {len(pairs)} pairs"
-    )
+    return ClaimResult(claim, True, f"threshold {t} met on {len(pairs)} pairs")
 
 
 _CHECKERS = {

@@ -205,21 +205,34 @@ def verify_weighted_net_boxes(
 # convex sets
 
 
-def convex_budget_required(n: int, profile: EpsilonProfile) -> int:
-    t = profile.min_strict_count
-    return sum(comb(n, t(level, n)) for level in range(1, profile.k + 1))
+def convex_budget_required(
+    n: int, profile: EpsilonProfile, levels: Iterable[int]
+) -> int:
+    """Sum C(n, t_i) over the given levels (1-based): the subset hulls a
+    sweep of those levels visits."""
+    return sum(comb(n, profile.min_strict_count(level, n)) for level in levels)
 
 
-def _budget_message(n: int, profile: EpsilonProfile, budget: int, need: int) -> str:
+def _budget_message(
+    n: int, profile: EpsilonProfile, budget: int, levels: set[int]
+) -> str:
+    """The refusal for sweeping ``levels`` over ``budget``, with a hint
+    that fits the sweep: a smaller n, or a higher threshold at the lowest
+    swept level."""
+    need = convex_budget_required(n, profile, levels)
     n_fit = n
-    while n_fit > 1 and convex_budget_required(n_fit, profile) > budget:
+    while n_fit > 1 and convex_budget_required(n_fit, profile, levels) > budget:
         n_fit -= 1
-    t = profile.min_strict_count(1, n)
+    low = min(levels)
+    t = profile.min_strict_count(low, n)
     while t <= n and comb(n, t) > budget:
         t += 1
     hint = f"reduce n to <= {n_fit}"
     if t <= n:
-        hint += f" or raise eps_1 to >= {Fraction(t - 1, n)} (so the level-1 subsets shrink)"
+        hint += (
+            f" or raise eps_{low} to >= {Fraction(t - 1, n)}"
+            f" (so the level-{low} subsets shrink)"
+        )
     return (
         f"convex verification needs {need} subset hulls at n={n}, over the budget"
         f" of {budget}; {hint}"
@@ -243,9 +256,9 @@ def verify_weighted_net_convex(
     asks ``hull_holds`` which net points each holds, on point bitmasks
     taken in lexicographic point order in the plane and in index order
     otherwise; violations and ``total_violations`` come from that sweep.
-    Raises BudgetExceededError (with the figure Sum C(n, t_i)) when a sweep
-    is needed and that figure is over ``budget``: in d <= 3 a passing net
-    is never refused.
+    Raises BudgetExceededError when the swept levels' hulls, Sum C(n, t_i)
+    over those levels only, are more than ``budget``; the message names the
+    lowest swept level.  In d <= 3 a passing net is never refused.
     """
     start = time.perf_counter()
     n, k = P.n, net.k
@@ -261,10 +274,11 @@ def verify_weighted_net_convex(
                 swept.add(level)
     else:
         swept = set(range(1, k + 1))
-    required = convex_budget_required(n, net.profile)
+    required = convex_budget_required(n, net.profile, swept)
     if swept and required > budget:
         raise BudgetExceededError(
-            _budget_message(n, net.profile, budget, required), required=required
+            _budget_message(n, net.profile, budget, swept),
+            required=required,
         )
     order = sorted(range(n), key=lambda i: P.points[i]) if P.dim == 2 else range(n)
     bits = [1 << i for i in order]

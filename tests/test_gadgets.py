@@ -1,6 +1,7 @@
 """gadgets: claim procedures, the three configurations, honest failures."""
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -12,6 +13,7 @@ from epsnet.gadgets import (
     ClaimKind,
     GadgetInstance,
     _hull_facets,
+    _integer_probe,
     _outside,
     certify,
     check_claim,
@@ -28,7 +30,11 @@ from epsnet.geometry import (
     point_in_hull,
     polytopes_intersect,
 )
-from epsnet.ranges import max_subset_avoiding, max_subset_avoiding_witness
+from epsnet.ranges import (
+    _candidate_masks,
+    max_subset_avoiding,
+    max_subset_avoiding_witness,
+)
 
 from helpers import (
     brute_in_hull,
@@ -293,7 +299,7 @@ def test_first_failing_pair_with_an_outside_probe(monkeypatch):
     monkeypatch.setattr(gadgets, "threshold_probe_pairs", lambda *args: pairs)
     monkeypatch.setattr(helpers, "slow_threshold_probe_pairs", lambda *args: pairs)
     inst = mini_instance()
-    assert _outside(_hull_facets(inst.pointset), outside)
+    assert _outside(_hull_facets(inst.pointset), _integer_probe(outside))
     claim = oracle_claim(3, 0)
     result = check_claim(inst, claim)
     assert not result.passed
@@ -307,10 +313,10 @@ def test_probes_on_the_hull_boundary_are_kept():
     assert len(facets) == 4
     vertex, edge, facet = (6, 0, 0), (3, 3, 0), (2, 2, 2)
     for q in (vertex, edge, facet, (0, 1, 2), (1, 1, 1)):
-        assert not _outside(facets, tuple(map(F, q)))
+        assert not _outside(facets, _integer_probe(tuple(map(F, q))))
     tiny = F(1, 10**9)
     for q in ((6 + tiny, 0, 0), (3, 3, -tiny), (2, 2, 2 + tiny), (-tiny, 1, 2)):
-        assert _outside(facets, tuple(map(F, q)))
+        assert _outside(facets, _integer_probe(tuple(map(F, q))))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -327,10 +333,11 @@ def test_outside_test_agrees_with_hull_membership(dim):
         for _ in range(15):
             q = tuple(F(rng.randint(-2, 14), 4) for _ in range(dim))
             inside = brute_in_hull(q, P.points)
+            outside = _outside(facets, _integer_probe(q))
             if full:
-                assert _outside(facets, q) == (not inside), (P.points, q)
+                assert outside == (not inside), (P.points, q)
             elif inside:
-                assert not _outside(facets, q), (P.points, q)
+                assert not outside, (P.points, q)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -358,6 +365,103 @@ def test_probe_outside_the_hull_changes_no_oracle_answer(dim):
             want = max_subset_avoiding_witness(P, [q_in], stop_at)
             assert max_subset_avoiding_witness(P, [q_out, q_in], stop_at) == want
             assert max_subset_avoiding_witness(P, [q_in, q_out], stop_at) == want
+
+
+def random_claim_points(rng, dim, n):
+    """n points in general, collinear or (in 3D) coplanar position, on a
+    half-integer grid, with a repeated point now and then."""
+    shape = rng.choice(["general", "collinear", "coplanar"][: dim + 1])
+    dirs = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(2)]
+    base = [rng.randint(0, 6) for _ in range(dim)]
+    pts = []
+    for _ in range(n):
+        if pts and rng.random() < 0.15:
+            pts.append(rng.choice(pts))
+        elif shape == "general":
+            pts.append(tuple(F(rng.randint(0, 12), 2) for _ in range(dim)))
+        else:
+            spans = dirs if shape == "coplanar" else dirs[:1]
+            s = [F(rng.randint(-4, 4), 2) for _ in spans]
+            pts.append(
+                tuple(
+                    base[a] + sum(c * v[a] for c, v in zip(s, spans))
+                    for a in range(dim)
+                )
+            )
+    return pts
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_witness_hull_claims_match_slow_check(dim, monkeypatch):
+    """Seeded random claims against querying the oracle on every pair,
+    thresholds 1..n+1: general, collinear and coplanar sets with repeated
+    points, SubsetHull witnesses (their centroids join the sample) and
+    lattice pairs.  Some claims must fail after witness hulls settled
+    pairs, so the first failing pair is found past settled ones."""
+    import epsnet.gadgets as gadgets
+
+    settled = [0]
+    shared_hull = gadgets._shared_hull
+
+    def counted(*args):
+        found = shared_hull(*args)
+        settled[0] += found
+        return found
+
+    monkeypatch.setattr(gadgets, "_shared_hull", counted)
+    rng = random.Random(f"witness-hulls:{dim}")
+    outcomes = Counter()
+    for _ in range(40):
+        n = rng.randint(2, 7)
+        pts = random_claim_points(rng, dim, n)
+        hulls = [
+            tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
+            for _ in range(rng.randint(0, 2))
+        ]
+        inst = degenerate_instance(dim, pts, hulls)
+        trials = rng.choice([0, 60, 200])
+        for threshold in range(1, n + 2):
+            claim = oracle_claim(threshold, trials, rng.randrange(100))
+            settled[0] = 0
+            fast = check_claim(inst, claim)
+            slow = slow_check_oracle_threshold(inst, claim)
+            assert (fast.passed, fast.detail) == (slow.passed, slow.detail), (
+                inst.pointset.points,
+                hulls,
+                claim,
+            )
+            outcomes[fast.passed, settled[0] > 0] += 1
+    # passing and failing claims, both after pairs settled on witness hulls
+    assert outcomes[True, True] and outcomes[False, True], outcomes
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_subset_facets_match_the_subset_pointset(dim):
+    """``_hull_facets(P, idx)`` reads P's integer coordinates and gives the
+    facets of ``PointSet(dim, subset)``: full-dimensional, flat, collinear
+    and duplicated subsets, on half-integer coordinates."""
+    rng = random.Random(f"subset-facets:{dim}")
+    shapes = Counter()
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        P = PointSet(dim, tuple(random_claim_points(rng, dim, n)))
+        idx = rng.sample(range(n), rng.randint(1, n))
+        sub = [P.points[i] for i in idx]
+        shapes[helpers.affine_rank(sub), len(set(sub)) < len(sub)] += 1
+        want = _hull_facets(PointSet(dim, tuple(sub)))
+        assert _hull_facets(P, idx) == want, (P.points, idx)
+    assert {rank for rank, _ in shapes} == set(range(dim + 1)), shapes
+    assert any(dup for _, dup in shapes), shapes
+
+
+@pytest.mark.parametrize("name, bound", [("hexagon-3d", 20), ("simplex-3", 10)])
+def test_witness_hulls_bound_the_oracle_work(name, bound):
+    """Certifying a 3D gadget builds few oracle masks: 528 on hexagon3d and
+    503 on simplex(3) when every probe inside conv(P) went to the oracle."""
+    inst = gadget_hexagon_3d() if name == "hexagon-3d" else gadget_simplex(3)
+    _candidate_masks.cache_clear()
+    assert certify(inst).passed
+    assert _candidate_masks.cache_info().misses <= bound
 
 
 def rational_3d_instance():

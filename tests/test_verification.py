@@ -420,6 +420,41 @@ def test_convex_budget_exceeded():
     assert "reduce n" in str(exc.value)
 
 
+def test_convex_budget_counts_the_swept_levels_only():
+    """In the plane only the failing level is swept, so the budget figure
+    and the hint are that level's: level 1 passes with C(14, 10) = 1001
+    hulls unvisited, level 2 fails and sweeps C(14, 12) = 91."""
+    ps = P2(*((i, i * i % 61) for i in range(14)))
+    net = WeightedNet(
+        ((F(9, 2), F(15)), (F(100), F(100))), EpsilonProfile((F(2, 3), F(4, 5)))
+    )
+    for budget in (1000, 91):
+        report = verify_weighted_net_convex(ps, net, budget=budget)
+        assert report.verdicts == (True, False)
+        assert report.ranges_examined == comb(14, 10) + comb(14, 12)
+    # a passing net sweeps nothing, so no budget refuses it, not even -1
+    passing = WeightedNet(((F(9, 2), F(15)), (F(8), F(30))), net.profile)
+    report = verify_weighted_net_convex(ps, passing, budget=-1)
+    assert report.verdicts == (True, True)
+    with pytest.raises(BudgetExceededError) as exc:
+        verify_weighted_net_convex(ps, net, budget=90)
+    assert exc.value.required == 91
+    assert str(exc.value) == (
+        "convex verification needs 91 subset hulls at n=14, over the budget"
+        " of 90; reduce n to <= 13 or raise eps_2 to >= 6/7 (so the level-2"
+        " subsets shrink)"
+    )
+    # d >= 4 sweeps every level, passing or not
+    ps4 = PointSet(4, tuple(tuple(i ** a for a in range(1, 5)) for i in range(7)))
+    net4 = WeightedNet(
+        ((F(0),) * 4, (F(1),) * 4), EpsilonProfile((F(1, 2), F(3, 4)))
+    )
+    with pytest.raises(BudgetExceededError) as exc:
+        verify_weighted_net_convex(ps4, net4, budget=1)
+    assert exc.value.required == comb(7, 4) + comb(7, 6)
+    assert "raise eps_1" in str(exc.value)
+
+
 def test_convex_agrees_with_subset_bruteforce():
     rng = random.Random(62)
     for _ in range(40):
