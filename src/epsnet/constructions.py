@@ -7,7 +7,11 @@ rank computations, never by numeric search.
 Box constructions place cuts so that per axis the "kill" side holds too
 few points to admit a level-1 box and the other side too few for a level-2
 box; the second net point is then the midpoint of the exact intersection
-of per-slab order-statistic boxes.  The three-point construction
+of per-slab order-statistic boxes.  The pair runs in rank space: every
+point is its per-axis ranks (``ranges._axis_orders``), a mirrored axis
+reverses them, each cut is a rank boundary and each order statistic a
+rank, and only the net points and the cut hyperplanes are read back as
+Fractions from the sorted coordinates.  The three-point construction
 enumerates every canonical box on an integer rank grid (vectorised with
 numpy) and intersects the two assigned families directly.  Constructions
 whose count structure cannot meet the requirements raise
@@ -22,7 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from math import comb
-from typing import Optional
 
 import numpy as np
 
@@ -42,7 +45,7 @@ from .geometry import (
     integer_coords,
     polytopes_intersect,
 )
-from .ranges import EpsilonProfile, WeightedNet
+from .ranges import EpsilonProfile, WeightedNet, _axis_orders
 from .verification import verify_weighted_net_boxes
 
 HALF = Fraction(1, 2)
@@ -321,34 +324,9 @@ def box_median_point(P: PointSet) -> WeightedNet:
     than n/2 points must reach that coordinate on every axis.
     """
     P.require_distinct_coords()
-    n = P.n
-    k = (n + 1) // 2  # 1-based rank ceil(n/2)
-    coords = []
-    for a in range(P.dim):
-        coords.append(sorted(P.axis_coords(a))[k - 1])
-    return WeightedNet((tuple(coords),), EpsilonProfile((HALF,)))
-
-
-def _axis_cut(coords_sorted: list[Fraction], kill_max: int, surv_max: int):
-    """Best axis cut: maximise the strictly-killed count under both caps.
-
-    Returns (cut value, strictly_below, on_point) or None.  Midpoint
-    placement is preferred; when parity makes both caps unreachable with a
-    midpoint, the cut passes through a point, which counts on neither
-    side.
-    """
-    n = len(coords_sorted)
-    for k in range(min(kill_max, n), -1, -1):
-        if n - k <= surv_max:
-            if k == 0:
-                return coords_sorted[0] - 1, 0, False
-            if k == n:
-                return coords_sorted[-1] + 1, n, False
-            lo, hi = coords_sorted[k - 1], coords_sorted[k]
-            return (lo + hi) / 2, k, False
-        if k < n and n - k - 1 <= surv_max:
-            return coords_sorted[k], k, True
-    return None
+    k = (P.n + 1) // 2  # 1-based rank ceil(n/2)
+    point = tuple(coords[k - 1] for coords, _, _ in _axis_orders(P))
+    return WeightedNet((point,), EpsilonProfile((HALF,)))
 
 
 def construct_box_pair_highd(
@@ -364,6 +342,13 @@ def construct_box_pair_highd(
     is the crossing of the cuts, p2 the midpoint of the intersection of
     the per-slab and global order-statistic boxes.  The result is
     re-verified before being returned.
+
+    The construction runs on the per-axis ranks of ``_axis_orders``
+    (coordinates are distinct, so a rank is a coordinate's place in its
+    axis order).  A mirrored axis reads rank r as n - 1 - r, a cut is a
+    rank boundary, and each order-statistic bound is a rank; only the net
+    points and the cut hyperplanes are read back from the sorted
+    coordinates.
     """
     d, n = P.dim, P.n
     if not check_box_pair_conditions(d, eps):
@@ -376,100 +361,89 @@ def construct_box_pair_highd(
             parts.append(f"(ii) {e1} + {e2} < 1")
         raise ConditionError("box pair conditions fail: " + "; ".join(parts))
     P.require_distinct_coords()
+    orders = _axis_orders(P)
     e1, e2 = eps.eps
     t1 = eps.min_strict_count(1, n)
-    kill_max = int(e1 * n)
-    surv_max = int(e2 * n)
-    pts = [list(p) for p in P.points]
+    t2 = eps.min_strict_count(2, n)
+    # Every axis takes the same cut: the most points strictly below it the
+    # kill cap floor(e1*n) allows.  The survivor side keeps the rest, or,
+    # when that is over the cap floor(e2*n), the cut passes through the
+    # next point, which counts on neither side.  e1 + e2 >= 1 makes
+    # floor(e1*n) + floor(e2*n) >= n - 1, so one of the two always fits,
+    # and both caps are below n, so the cut lies strictly inside the
+    # coordinate range.
+    kill = int(e1 * n)
+    on_pt = n - kill > int(e2 * n)
+    # rank of each point along each axis, reversed on a mirrored axis
+    work = [rank for _, _, rank in orders]
     flips = [False] * d
-    cuts: list[Optional[Fraction]] = [None] * d
-    kill_counts = [0] * d
     notes = []
 
     first = d - 1
-    cut = _axis_cut(sorted(q[first] for q in pts), kill_max, surv_max)
-    if cut is None:
-        raise ConstructionFailureError(
-            f"no axis-{first} cut keeps <= {kill_max} on one side and"
-            f" <= {surv_max} on the other (n={n})"
-        )
-    cuts[first], kill_counts[first], on_pt = cut
     if on_pt:
         notes.append(f"axis {first}: cut through a point")
-    corner = [q for q in pts if q[first] < cuts[first]]
+    corner = orders[first][1][:kill]
 
     for a in range(d - 1):
-        csorted = sorted(q[a] for q in corner)
-        third = (len(csorted) + 2) // 3
+        cranks = sorted(work[a][i] for i in corner)
+        third = (len(cranks) + 2) // 3
         if third:
-            lo_edge = csorted[third - 1]
-            hi_edge = csorted[-third]
-            low_side = sum(1 for q in pts if q[a] <= lo_edge) - third
-            high_side = sum(1 for q in pts if q[a] >= hi_edge) - third
+            # points at or below the third-lowest corner rank, at or above
+            # the third-highest, beyond the corner's own third
+            low_side = cranks[third - 1] + 1 - third
+            high_side = n - cranks[-third] - third
         else:
             low_side = high_side = 0
         if low_side > high_side:
-            # corner holds references into pts, so it is negated too
             flips[a] = True
-            for q in pts:
-                q[a] = -q[a]
+            work[a] = [n - 1 - r for r in work[a]]
             notes.append(f"axis {a}: mirrored")
-        cut = _axis_cut(sorted(q[a] for q in pts), kill_max, surv_max)
-        if cut is None:
-            raise ConstructionFailureError(
-                f"no axis-{a} cut keeps <= {kill_max} on one side and"
-                f" <= {surv_max} on the other (n={n})"
-            )
-        cuts[a], kill_counts[a], on_pt = cut
         if on_pt:
             notes.append(f"axis {a}: cut through a point")
-        corner = [q for q in corner if q[a] < cuts[a]]
+        corner = [i for i in corner if work[a][i] < kill]
 
-    p1_work = tuple(cuts)
-    # order-statistic boxes: survivor slab per axis, plus the global level-2 box
-    t2 = eps.min_strict_count(2, n)
-    slabs: list[tuple[str, list]] = [("all::t2", pts)]
+    def coord(a: int, r: int) -> Fraction:
+        """The input coordinate on axis a at work rank r."""
+        return orders[a][0][n - 1 - r if flips[a] else r]
+
+    if on_pt:
+        p1 = tuple(coord(a, kill) for a in range(d))
+    else:
+        p1 = tuple((coord(a, kill - 1) + coord(a, kill)) / 2 for a in range(d))
+    # order-statistic boxes: survivor slab per axis (the ranks above the
+    # cut), plus the global level-2 box; the kill side's floor(e1*n) points
+    # are too few for a level-1 box
+    slabs = [("all::t2", range(n))]
     for a in range(d):
-        upper = [q for q in pts if q[a] > cuts[a]]
-        lower = [q for q in pts if q[a] < cuts[a]]
+        ranked = orders[a][1]
+        upper = ranked[:n - kill - on_pt] if flips[a] else ranked[kill + on_pt:]
         if len(upper) >= t1:
             slabs.append((f"axis{a}-survivor", upper))
-        if len(lower) >= t1:  # possible only when caps were loose
-            slabs.append((f"axis{a}-kill", lower))
-    lo = [None] * d
-    hi = [None] * d
-    lo_src = [None] * d
-    hi_src = [None] * d
+    lo = [-1] * d
+    hi = [n] * d
+    lo_src = [""] * d
+    hi_src = [""] * d
     for name, members in slabs:
         t = t2 if name == "all::t2" else t1
         for a in range(d):
-            cs = sorted(q[a] for q in members)
-            box_lo, box_hi = cs[-t], cs[t - 1]
-            if lo[a] is None or box_lo > lo[a]:
-                lo[a], lo_src[a] = box_lo, name
-            if hi[a] is None or box_hi < hi[a]:
-                hi[a], hi_src[a] = box_hi, name
+            ranks = sorted(work[a][i] for i in members)
+            if ranks[-t] > lo[a]:
+                lo[a], lo_src[a] = ranks[-t], name
+            if ranks[t - 1] < hi[a]:
+                hi[a], hi_src[a] = ranks[t - 1], name
     for a in range(d):
-        if lo[a] is not None and hi[a] is not None and lo[a] > hi[a]:
+        if lo[a] > hi[a]:
             raise ConstructionFailureError(
                 f"slab boxes {lo_src[a]} and {hi_src[a]} are disjoint on axis {a}"
             )
-    p2_work = tuple(
-        (lo[a] + hi[a]) / 2 if lo[a] is not None else cuts[a] for a in range(d)
-    )
+    p2 = tuple((coord(a, lo[a]) + coord(a, hi[a])) / 2 for a in range(d))
 
-    def unflip(q):
-        return tuple(-c if flips[a] else c for a, c in enumerate(q))
-
-    p1, p2 = unflip(p1_work), unflip(p2_work)
     net = WeightedNet((p1, p2), eps)
     report = verify_weighted_net_boxes(P, net)
     trace = ConstructionTrace(
         method="box-pair",
-        hyperplanes=tuple(
-            Hyperplane.axis(d, a, -cuts[a] if flips[a] else cuts[a]) for a in range(d)
-        ),
-        counts=tuple((f"kill[{a}]", kill_counts[a]) for a in range(d))
+        hyperplanes=tuple(Hyperplane.axis(d, a, p1[a]) for a in range(d)),
+        counts=tuple((f"kill[{a}]", kill) for a in range(d))
         + (("t1", t1), ("t2", t2)),
         class_sizes=tuple((name, len(members)) for name, members in slabs),
         witnesses=(("p1", p1), ("p2", p2)),

@@ -109,8 +109,11 @@ class PointSet:
         return [p[axis] for p in self.points]
 
     def has_distinct_coords(self, axis: Optional[int] = None) -> bool:
+        if axis is not None and not 0 <= axis < self.dim:
+            raise DimensionMismatchError(f"axis {axis} out of range for d={self.dim}")
         axes = range(self.dim) if axis is None else [axis]
-        return all(len(set(self.axis_coords(a))) == self.n for a in axes)
+        _, ipts = integer_coords(self)
+        return all(len({p[a] for p in ipts}) == self.n for a in axes)
 
     def require_distinct_coords(self, axis: Optional[int] = None) -> None:
         if not self.has_distinct_coords(axis):
@@ -484,12 +487,9 @@ def clip_polygon_halfplane(poly: list[tuple], a, b) -> list[tuple]:
 @lru_cache(maxsize=32)
 def integer_coords(ps: PointSet) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(scale, points*scale): the least scale making all coordinates integers."""
-    denom = 1
-    for p in ps.points:
-        for c in p:
-            denom = lcm(denom, c.denominator)
+    denom = lcm(*{c.denominator for p in ps.points for c in p})
     scaled = tuple(
-        tuple(int(c * denom) for c in p) for p in ps.points
+        tuple(c.numerator * (denom // c.denominator) for c in p) for p in ps.points
     )
     return denom, scaled
 

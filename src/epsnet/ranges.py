@@ -50,6 +50,7 @@ from .geometry import (
     as_point,
     common_integer_coords,
     frac,
+    integer_coords,
     point_in_hull,
 )
 
@@ -153,10 +154,17 @@ def _axis_orders(
     P: PointSet,
 ) -> tuple[tuple[tuple[Fraction, ...], tuple[int, ...], tuple[int, ...]], ...]:
     """Per axis: (sorted coordinates, point indices in that order, each
-    point's rank: its position in that order)."""
+    point's rank: its position in that order).
+
+    Each axis is sorted once on the integer coordinates of
+    :func:`~epsnet.geometry.integer_coords`, whose positive scale keeps the
+    order of the rationals; the sort is stable, so tied coordinates keep
+    index order."""
+    _, ipts = integer_coords(P)
     out = []
     for a in range(P.dim):
-        order = sorted(range(P.n), key=lambda i: P.points[i][a])
+        key = [p[a] for p in ipts]
+        order = sorted(range(P.n), key=key.__getitem__)
         coords = tuple(P.points[i][a] for i in order)
         rank = [0] * P.n
         for pos, i in enumerate(order):

@@ -8,7 +8,8 @@ general-position check, the planar convex-pair construction with its
 Fraction polygon clipping, the 3D avoidance oracle, the Fraction simplex
 tableau, the Fraction box region scan, the search over points, the Fraction
 arrangement vertices, the Fraction probe lattice, the oracle-threshold
-check that queries every pair and the verifiers' per-kind level loops),
+check that queries every pair, the verifiers' per-kind level loops, the
+Fraction box pair and median point, and the Fraction SVG coordinate map),
 which differential tests hold the library's kernels to, output for output.
 """
 
@@ -18,10 +19,20 @@ from itertools import combinations, combinations_with_replacement, product
 from math import comb
 import random
 
-from epsnet.constructions import _count_small_side
-from epsnet.errors import ConstructionFailureError, DegenerateInputError
+from epsnet.constructions import (
+    ConstructionTrace,
+    _count_small_side,
+    check_box_pair_conditions,
+)
+from epsnet.errors import (
+    ConditionError,
+    ConstructionFailureError,
+    DegenerateInputError,
+    UnsupportedDimensionError,
+)
 from epsnet.gadgets import _PROBE_GRID, ClaimResult, _fmt
 from epsnet.geometry import (
+    Hyperplane,
     PointSet,
     SubsetHull,
     _det,
@@ -36,12 +47,19 @@ from epsnet.geometry import (
 from epsnet.linprog import ONE, ZERO
 from epsnet.ranges import (
     BoxRange,
+    EpsilonProfile,
     RangeSpaceKind,
+    WeightedNet,
     _candidate_masks,
     box_regions_avoiding,
     max_subset_avoiding,
 )
-from epsnet.verification import VerificationReport, Violation
+from epsnet.svg import _PALETTE as SVG_PALETTE, _SIZE as SVG_SIZE
+from epsnet.verification import (
+    VerificationReport,
+    Violation,
+    verify_weighted_net_boxes,
+)
 
 
 # --- exact linear algebra ---------------------------------------------------
@@ -261,16 +279,52 @@ def brute_max_box_count(boxes, pts):
 
 
 def brute_verify_boxes(P, net):
-    """Per-level verdicts over every subset bounding box (2^n of them)."""
-    from itertools import combinations as _comb
+    """Per-level verdicts over every candidate box, on integer coordinates.
 
+    A box that breaks a level shrinks onto the bounding box of its points,
+    keeping its count and losing no net point it missed; that box has, on
+    each axis, endpoints at coordinates of the points inside it.  The walk
+    takes an axis-0 interval between input coordinates, then an axis-1
+    interval between the coordinates of the points inside it, and so on,
+    so it visits every such box once, and stops early where fewer points
+    remain than the lowest threshold.
+    """
+    d, n, k = P.dim, P.n, net.k
+    ipts, inet = common_integer_coords(P, net.points)
+    thresholds = [net.profile.min_strict_count(i, n) for i in range(1, k + 1)]
+    verdicts = [True] * k
+
+    def walk(a, members, lo, hi):
+        if len(members) < thresholds[0]:
+            return
+        if a == d:
+            net_in = sum(
+                1 for q in inet if all(l <= c <= h for c, l, h in zip(q, lo, hi))
+            )
+            for i in range(net_in, k):
+                if len(members) >= thresholds[i]:
+                    verdicts[i] = False
+            return
+        values = sorted({p[a] for p in members})
+        for i, l in enumerate(values):
+            for h in values[i:]:
+                inside = [p for p in members if l <= p[a] <= h]
+                walk(a + 1, inside, lo + (l,), hi + (h,))
+
+    walk(0, ipts, (), ())
+    return verdicts
+
+
+def subset_verify_boxes(P, net):
+    """Per-level verdicts over every subset bounding box (2^n of them): the
+    cross-check of ``brute_verify_boxes`` at small n."""
     n = P.n
     k = net.k
     thresholds = [net.profile.min_strict_count(i, n) for i in range(1, k + 1)]
     verdicts = [True] * k
     pts = P.points
     for r in range(1, n + 1):
-        for sub in _comb(pts, r):
+        for sub in combinations(pts, r):
             lo = [min(p[a] for p in sub) for a in range(P.dim)]
             hi = [max(p[a] for p in sub) for a in range(P.dim)]
             cnt = naive_count_in_box(P, lo, hi)
@@ -995,3 +1049,254 @@ def slow_verify_convex(P, net, max_violations=16):
         examined,
         0.0,
     )
+
+
+# --- box constructions and figures on Fraction coordinates -------------------
+
+
+def slow_box_median_point(P):
+    """``constructions.box_median_point`` sorting each axis's Fraction
+    coordinates."""
+    P.require_distinct_coords()
+    n = P.n
+    k = (n + 1) // 2  # 1-based rank ceil(n/2)
+    coords = []
+    for a in range(P.dim):
+        coords.append(sorted(P.axis_coords(a))[k - 1])
+    return WeightedNet((tuple(coords),), EpsilonProfile((F(1, 2),)))
+
+
+def _slow_axis_cut(coords_sorted, kill_max, surv_max):
+    """Best axis cut: maximise the strictly-killed count under both caps.
+
+    Returns (cut value, strictly_below, on_point) or None.  Midpoint
+    placement is preferred; when parity makes both caps unreachable with a
+    midpoint, the cut passes through a point, which counts on neither
+    side.
+    """
+    n = len(coords_sorted)
+    for k in range(min(kill_max, n), -1, -1):
+        if n - k <= surv_max:
+            if k == 0:
+                return coords_sorted[0] - 1, 0, False
+            if k == n:
+                return coords_sorted[-1] + 1, n, False
+            lo, hi = coords_sorted[k - 1], coords_sorted[k]
+            return (lo + hi) / 2, k, False
+        if k < n and n - k - 1 <= surv_max:
+            return coords_sorted[k], k, True
+    return None
+
+
+def slow_box_pair_highd(P, eps):
+    """``constructions.construct_box_pair_highd`` on Fraction coordinates:
+    each axis is negated in place when mirrored, every cut and order
+    statistic is a sorted coordinate, and each slab is a list of points.
+    The reference the rank-space construction must match net for net,
+    trace for trace and message for message."""
+    d, n = P.dim, P.n
+    if not check_box_pair_conditions(d, eps):
+        e1, e2 = eps.eps
+        p = 3 ** (d - 1)
+        parts = []
+        if e1 < F(p, 2 * p + 1):
+            parts.append(f"(i) {e1} < 3^(d-1)/(2*3^(d-1)+1) = {F(p, 2*p+1)}")
+        if e1 + e2 < 1:
+            parts.append(f"(ii) {e1} + {e2} < 1")
+        raise ConditionError("box pair conditions fail: " + "; ".join(parts))
+    P.require_distinct_coords()
+    e1, e2 = eps.eps
+    t1 = eps.min_strict_count(1, n)
+    kill_max = int(e1 * n)
+    surv_max = int(e2 * n)
+    pts = [list(p) for p in P.points]
+    flips = [False] * d
+    cuts = [None] * d
+    kill_counts = [0] * d
+    notes = []
+
+    first = d - 1
+    cut = _slow_axis_cut(sorted(q[first] for q in pts), kill_max, surv_max)
+    if cut is None:
+        raise ConstructionFailureError(
+            f"no axis-{first} cut keeps <= {kill_max} on one side and"
+            f" <= {surv_max} on the other (n={n})"
+        )
+    cuts[first], kill_counts[first], on_pt = cut
+    if on_pt:
+        notes.append(f"axis {first}: cut through a point")
+    corner = [q for q in pts if q[first] < cuts[first]]
+
+    for a in range(d - 1):
+        csorted = sorted(q[a] for q in corner)
+        third = (len(csorted) + 2) // 3
+        if third:
+            lo_edge = csorted[third - 1]
+            hi_edge = csorted[-third]
+            low_side = sum(1 for q in pts if q[a] <= lo_edge) - third
+            high_side = sum(1 for q in pts if q[a] >= hi_edge) - third
+        else:
+            low_side = high_side = 0
+        if low_side > high_side:
+            # corner holds references into pts, so it is negated too
+            flips[a] = True
+            for q in pts:
+                q[a] = -q[a]
+            notes.append(f"axis {a}: mirrored")
+        cut = _slow_axis_cut(sorted(q[a] for q in pts), kill_max, surv_max)
+        if cut is None:
+            raise ConstructionFailureError(
+                f"no axis-{a} cut keeps <= {kill_max} on one side and"
+                f" <= {surv_max} on the other (n={n})"
+            )
+        cuts[a], kill_counts[a], on_pt = cut
+        if on_pt:
+            notes.append(f"axis {a}: cut through a point")
+        corner = [q for q in corner if q[a] < cuts[a]]
+
+    p1_work = tuple(cuts)
+    # order-statistic boxes: survivor slab per axis, plus the global level-2 box
+    t2 = eps.min_strict_count(2, n)
+    slabs = [("all::t2", pts)]
+    for a in range(d):
+        upper = [q for q in pts if q[a] > cuts[a]]
+        lower = [q for q in pts if q[a] < cuts[a]]
+        if len(upper) >= t1:
+            slabs.append((f"axis{a}-survivor", upper))
+        if len(lower) >= t1:  # possible only when caps were loose
+            slabs.append((f"axis{a}-kill", lower))
+    lo = [None] * d
+    hi = [None] * d
+    lo_src = [None] * d
+    hi_src = [None] * d
+    for name, members in slabs:
+        t = t2 if name == "all::t2" else t1
+        for a in range(d):
+            cs = sorted(q[a] for q in members)
+            box_lo, box_hi = cs[-t], cs[t - 1]
+            if lo[a] is None or box_lo > lo[a]:
+                lo[a], lo_src[a] = box_lo, name
+            if hi[a] is None or box_hi < hi[a]:
+                hi[a], hi_src[a] = box_hi, name
+    for a in range(d):
+        if lo[a] is not None and hi[a] is not None and lo[a] > hi[a]:
+            raise ConstructionFailureError(
+                f"slab boxes {lo_src[a]} and {hi_src[a]} are disjoint on axis {a}"
+            )
+    p2_work = tuple(
+        (lo[a] + hi[a]) / 2 if lo[a] is not None else cuts[a] for a in range(d)
+    )
+
+    def unflip(q):
+        return tuple(-c if flips[a] else c for a, c in enumerate(q))
+
+    p1, p2 = unflip(p1_work), unflip(p2_work)
+    net = WeightedNet((p1, p2), eps)
+    report = verify_weighted_net_boxes(P, net)
+    trace = ConstructionTrace(
+        method="box-pair",
+        hyperplanes=tuple(
+            Hyperplane.axis(d, a, -cuts[a] if flips[a] else cuts[a]) for a in range(d)
+        ),
+        counts=tuple((f"kill[{a}]", kill_counts[a]) for a in range(d))
+        + (("t1", t1), ("t2", t2)),
+        class_sizes=tuple((name, len(members)) for name, members in slabs),
+        witnesses=(("p1", p1), ("p2", p2)),
+        notes=tuple(notes),
+    )
+    if not report.passed:
+        raise ConstructionFailureError(
+            f"constructed pair fails verification: {report.violations[:1]}",
+            trace=trace,
+        )
+    return net, trace
+
+
+def _slow_project(p):
+    return (p[0], p[1])
+
+
+def _slow_extra_vertices(extra):
+    if isinstance(extra, SubsetHull):
+        pts = [_slow_project(p) for p in extra.points]
+    elif isinstance(extra, BoxRange):
+        if len(extra.intervals) != 2:
+            raise UnsupportedDimensionError("only planar boxes can be drawn")
+        (x0, x1), (y0, y1) = extra.intervals
+        return [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+    else:
+        pts = [_slow_project(p) for p in extra]
+    distinct = sorted(set(pts))
+    if len(distinct) >= 3:
+        return list(hull2d(distinct))
+    return distinct
+
+
+def slow_render_svg(P, net=None, extras=()):
+    """``svg.render_svg`` with every screen coordinate a Fraction: the
+    reference its integer map must match byte for byte."""
+    if P.dim not in (2, 3):
+        raise UnsupportedDimensionError(f"cannot draw dimension {P.dim}")
+    dots = [_slow_project(p) for p in P.points]
+    crosses = []
+    if net is not None:
+        crosses.extend(_slow_project(p) for p in net.points)
+    if P.dim == 3:
+        # projection collisions mark the lifted pole pairs
+        seen = {}
+        for q in dots:
+            seen[q] = seen.get(q, 0) + 1
+        crosses.extend(q for q, count in sorted(seen.items()) if count > 1)
+        dots = [q for q in dots if seen[q] == 1]
+    regions = [_slow_extra_vertices(e) for e in extras]
+
+    everything = dots + crosses + [v for region in regions for v in region]
+    if not everything:
+        raise ValueError("nothing to draw")
+    xs = [q[0] for q in everything]
+    ys = [q[1] for q in everything]
+    lo_x, hi_x, lo_y, hi_y = min(xs), max(xs), min(ys), max(ys)
+    span = max(hi_x - lo_x, hi_y - lo_y, F(1))
+    margin = span / 20
+    scale = F(SVG_SIZE) / (span + 2 * margin)
+    # centre the shorter axis inside the square viewport, y pointing up
+    off_x = (span - (hi_x - lo_x)) / 2
+    off_y = (span - (hi_y - lo_y)) / 2
+
+    def sx(x):
+        return f"{float((x - lo_x + margin + off_x) * scale):.2f}"
+
+    def sy(y):
+        return f"{float(SVG_SIZE - (y - lo_y + margin + off_y) * scale):.2f}"
+
+    out = [
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{SVG_SIZE}" height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
+        f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="#ffffff"/>',
+    ]
+    for i, region in enumerate(regions):
+        color = SVG_PALETTE[i % len(SVG_PALETTE)]
+        pts = " ".join(f"{sx(x)},{sy(y)}" for x, y in region)
+        if len(region) >= 3:
+            out.append(
+                f'<polygon points="{pts}" fill="{color}" fill-opacity="0.25" '
+                f'stroke="{color}" stroke-width="1"/>'
+            )
+        elif len(region) == 2:
+            (x0, y0), (x1, y1) = region
+            out.append(
+                f'<line x1="{sx(x0)}" y1="{sy(y0)}" x2="{sx(x1)}" y2="{sy(y1)}" '
+                f'stroke="{color}" stroke-width="2"/>'
+            )
+    for x, y in dots:
+        out.append(f'<circle cx="{sx(x)}" cy="{sy(y)}" r="3.5" fill="#1f2430"/>')
+    for x, y in crosses:
+        cx, cy = float(sx(x)), float(sy(y))
+        arm = 6.0
+        out.append(
+            f'<path d="M {cx - arm:.2f} {cy - arm:.2f} L {cx + arm:.2f} {cy + arm:.2f} '
+            f'M {cx - arm:.2f} {cy + arm:.2f} L {cx + arm:.2f} {cy - arm:.2f}" '
+            f'stroke="#c0392b" stroke-width="2.5" fill="none"/>'
+        )
+    out.append("</svg>")
+    return "\n".join(out) + "\n"

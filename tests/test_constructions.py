@@ -24,16 +24,19 @@ from epsnet.errors import (
     DegenerateInputError,
 )
 from epsnet.geometry import PointSet, halving_hyperplane, integer_coords
-from epsnet.ranges import EpsilonProfile, max_subset_avoiding
+from epsnet.ranges import EpsilonProfile, WeightedNet, max_subset_avoiding
 from epsnet.verification import (
     verify_weighted_net_boxes,
     verify_weighted_net_convex,
 )
 
 from helpers import (
+    _slow_axis_cut,
     brute_verify_boxes,
     brute_verify_convex_2d,
     random_pointset,
+    slow_box_median_point,
+    slow_box_pair_highd,
     slow_convex_pair_2d,
     slow_side_counts,
 )
@@ -218,6 +221,119 @@ def test_box_pair_duplicate_coordinate_rejected():
                           [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (5, 6)]))
     with pytest.raises(DegenerateInputError):
         construct_box_pair_highd(P, PAIR)
+
+
+def _outcome(build, *args):
+    """A construction's result, or the type, message and trace it fails with."""
+    try:
+        return build(*args)
+    except (ConditionError, ConstructionFailureError, DegenerateInputError) as exc:
+        return type(exc), str(exc), getattr(exc, "trace", None)
+
+
+def _rational_pointset(rng, n, d):
+    """n points with distinct per-axis coordinates over mixed denominators."""
+    cols = []
+    for _ in range(d):
+        col = set()
+        while len(col) < n:
+            col.add(F(rng.randint(-60, 60), rng.choice((1, 2, 3, 5, 7, 12))))
+        col = sorted(col)
+        rng.shuffle(col)
+        cols.append(col)
+    return PointSet(d, tuple(zip(*cols)))
+
+
+_BOX_PAIR_PROFILES = {
+    2: [PAIR, EpsilonProfile((F(1, 2), F(5, 8))), EpsilonProfile((F(3, 5), F(4, 5)))],
+    3: [EpsilonProfile((F(9, 19), F(10, 19))), EpsilonProfile((F(1, 2), F(5, 8)))],
+    4: [EpsilonProfile((F(27, 55), F(28, 55))), EpsilonProfile((F(1, 2), F(3, 4)))],
+}
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_box_pair_matches_fraction_reference(d):
+    """The rank-space pair against the Fraction construction: the same
+    (net, trace), or the same error and message, on integer, negative and
+    mixed-denominator coordinates, odd and even n, tight and loose caps."""
+    rng = random.Random(1000 + d)
+    built = mirrored = through = 0
+    profiles = _BOX_PAIR_PROFILES[d] + [EpsilonProfile((F(2, 5), F(3, 5)))]
+    for trial in range(150 if d < 4 else 50):
+        n = rng.randint(5, 40)
+        if trial % 3 == 0:
+            P = _rational_pointset(rng, n, d)
+        else:
+            P = random_pointset(rng, n, d, lo=-rng.choice((n, 100)), hi=100)
+        for eps in profiles:
+            got = _outcome(construct_box_pair_highd, P, eps)
+            assert got == _outcome(slow_box_pair_highd, P, eps), (P, eps)
+            trace = got[1] if isinstance(got[0], WeightedNet) else got[2]
+            built += isinstance(got[0], WeightedNet)
+            if trace is not None:
+                mirrored += any("mirrored" in t for t in trace.notes)
+                through += any("through" in t for t in trace.notes)
+    assert built and mirrored and through
+    dup = PointSet(d, P.points + P.points[:1])
+    assert _outcome(construct_box_pair_highd, dup, profiles[0]) == _outcome(
+        slow_box_pair_highd, dup, profiles[0]
+    )
+    # mirrored inputs: each axis reversed gives the reference's answer too
+    P = random_pointset(rng, 21, d)
+    for a in range(d):
+        flipped = PointSet(d, tuple(
+            tuple(-c if b == a else c for b, c in enumerate(p)) for p in P.points
+        ))
+        for eps in profiles:
+            want = _outcome(slow_box_pair_highd, flipped, eps)
+            assert _outcome(construct_box_pair_highd, flipped, eps) == want
+
+
+def test_box_pair_failure_messages_match_reference():
+    """Disjoint slab boxes fail with the reference's message and trace."""
+    rng = random.Random(61)
+    failed = 0
+    for _ in range(200):
+        P = random_pointset(rng, rng.randint(8, 13), 2, lo=-30, hi=30)
+        got = _outcome(construct_box_pair_highd, P, PAIR)
+        assert got == _outcome(slow_box_pair_highd, P, PAIR)
+        if got[0] is ConstructionFailureError:
+            assert got[1].startswith("slab boxes ") and "are disjoint on axis" in got[1]
+            failed += 1
+    assert failed
+
+
+def test_box_pair_cut_is_the_kill_cap():
+    """Wherever the pair conditions hold, the Fraction cut search stops at
+    its first count, floor(e1*n), and passes through a point exactly when
+    the survivor side would exceed floor(e2*n): the cut the rank-space
+    pair takes.  So no axis is ever left without a cut, and the kill side,
+    below the level-1 threshold, never forms a slab."""
+    for den in range(2, 16):
+        for a in range(1, den):
+            for b in range(a, den):
+                eps = EpsilonProfile((F(a, den), F(b, den)))
+                if not check_box_pair_conditions(2, eps):
+                    continue
+                for n in range(1, 40):
+                    kill, surv = int(eps[0] * n), int(eps[1] * n)
+                    _, k, on_pt = _slow_axis_cut(list(range(n)), kill, surv)
+                    assert (k, on_pt) == (kill, n - kill > surv)
+                    assert k < eps.min_strict_count(1, n)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_median_point_matches_fraction_reference(d):
+    rng = random.Random(70 + d)
+    for trial in range(40):
+        n = rng.randint(1, 30)
+        if trial % 2:
+            P = _rational_pointset(rng, n, d)
+        else:
+            P = random_pointset(rng, n, d, lo=-100, hi=100)
+        assert box_median_point(P) == slow_box_median_point(P)
+    P = PointSet(d, tuple((F(i % 3, 2),) * d for i in range(5)))
+    assert _outcome(box_median_point, P) == _outcome(slow_box_median_point, P)
 
 
 # ---------------------------------------------------------------------------

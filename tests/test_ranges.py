@@ -29,6 +29,8 @@ from epsnet.ranges import (
 )
 
 from helpers import (
+    REPEATED_11,
+    _slow_axis_orders,
     brute_in_hull,
     brute_max_box_count,
     naive_count_in_box,
@@ -194,6 +196,31 @@ def test_box_regions_avoiding_matches_slow(d):
                 else:
                     assert got >= stop_at
     assert empty > 0
+
+
+def test_axis_orders_match_fraction_sort_on_ties():
+    """Sorted on integer coordinates, each axis order is the stable Fraction
+    sort: repeated coordinates, equal rationals written over different
+    denominators, and duplicate points keep index order."""
+    rng = random.Random(19)
+    sets = [
+        P2(*REPEATED_11),
+        PointSet(2, tuple((F(2 * i % 5, 2), F(i % 3, 3)) for i in range(12))),
+        PointSet(1, ((F(1, 2),), (F(-3, 4),), (F(2, 4),), (F(1, 2),), (F(-6, 8),))),
+    ]
+    for d in (1, 2, 3):
+        for _ in range(5):
+            pts = [
+                tuple(F(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(d))
+                for _ in range(rng.randint(1, 12))
+            ]
+            sets.append(PointSet(d, tuple(pts + pts[:2])))
+    for P in sets:
+        for (coords, order, rank), (want_coords, want_order) in zip(
+            ranges._axis_orders(P), _slow_axis_orders(P)
+        ):
+            assert (coords, order) == (want_coords, want_order)
+            assert [order[r] for r in rank] == list(range(P.n))
 
 
 def test_box_signature_is_rank_comparison():

@@ -43,6 +43,7 @@ from epsnet.verification import (
 from helpers import (
     REPEATED_11,
     brute_verify_boxes,
+    subset_verify_boxes,
     brute_verify_convex_2d,
     point_in_convex_polygon,
     random_pointset,
@@ -177,6 +178,32 @@ def test_box_verifier_matches_bruteforce():
             cuts = sorted(rng.randint(1, 9) for _ in range(k))
             net = WeightedNet(pts, EpsilonProfile(tuple(F(c, 10) for c in cuts)))
             seen.update(assert_box_report_matches_bruteforce(ps, net).verdicts)
+    assert seen == {True, False}
+
+
+def test_box_brute_force_matches_subset_sweep():
+    """The integer box walk gives the verdicts of the sweep over every
+    subset's bounding box, on repeated coordinates and duplicate points."""
+    rng = random.Random(64)
+    seen = set()
+    for trial in range(90):
+        d = 1 + trial % 3
+        ps = random_pointset(
+            rng, rng.randint(2, 9), d, lo=-5, hi=5, distinct=trial % 2 == 0
+        )
+        ps = PointSet(d, ps.points + (rng.choice(ps.points),))
+        k = rng.randint(1, 3)
+        pts = tuple(
+            rng.choice(ps.points)
+            if rng.random() < 0.5
+            else tuple(F(rng.randint(-8, 8), 2) for _ in range(d))
+            for _ in range(k)
+        )
+        cuts = sorted(rng.randint(1, 9) for _ in range(k))
+        net = WeightedNet(pts, EpsilonProfile(tuple(F(c, 10) for c in cuts)))
+        verdicts = brute_verify_boxes(ps, net)
+        assert verdicts == subset_verify_boxes(ps, net)
+        seen.update(verdicts)
     assert seen == {True, False}
 
 
