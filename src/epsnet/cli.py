@@ -46,8 +46,7 @@ from .ranges import (
     RangeSpaceKind,
     WeightedNet,
     _candidate_masks,
-    box_signature,
-    largest_box_avoiding,
+    box_masks,
     max_mask_intersection,
 )
 from .svg import render_svg
@@ -293,15 +292,11 @@ def _parse_candidates(P: PointSet, kind: RangeSpaceKind, text: str) -> list[Poin
     raise ValueError(f"unknown candidate family {text!r}")
 
 
-# per range kind: a candidate's exact integer signature, and the largest
-# range missing the candidates of a list of signatures (stopping once
-# >= stop_at)
+# per range kind: a candidate's masks, the open halfspaces through it whose
+# points a range missing it must lie in
 _SEARCH_PRIMITIVES = {
-    RangeSpaceKind.AXIS_PARALLEL_BOXES: (box_signature, largest_box_avoiding),
-    RangeSpaceKind.CONVEX_SETS: (
-        _candidate_masks,
-        lambda P, lists, stop_at=None: max_mask_intersection(lists, stop_at)[0],
-    ),
+    RangeSpaceKind.AXIS_PARALLEL_BOXES: box_masks,
+    RangeSpaceKind.CONVEX_SETS: _candidate_masks,
 }
 
 
@@ -309,24 +304,23 @@ def _search(P, kind, candidates, size):
     """Lexicographically smallest (largest range missing the whole net,
     largest range missing some net point) over candidate nets.
 
-    Each candidate is reduced once to its signature, and nets are scanned
-    as index tuples on those signatures alone.  Each net's query stops at
-    ``cap``, the smallest first count that can no longer win; for pairs a
-    tie still can, on the second count.
+    Each candidate is reduced once to its masks, and nets are scanned as
+    index tuples by ``max_mask_intersection`` on those masks alone.  Each
+    net's query stops at ``cap``, the smallest first count that can no
+    longer win; for pairs a tie still can, on the second count.
     """
-    signature, largest = _SEARCH_PRIMITIVES[kind]
-    sigs = [signature(P, q) for q in candidates]
+    masks = [_SEARCH_PRIMITIVES[kind](P, q) for q in candidates]
     best = None  # ((counts...), candidate indices)
     singles: dict[int, int] = {}
 
     def single(i: int) -> int:
         if i not in singles:
-            singles[i] = largest(P, (sigs[i],))
+            singles[i] = max_mask_intersection((masks[i],))[0]
         return singles[i]
 
-    for net in itertools.combinations_with_replacement(range(len(sigs)), size):
+    for net in itertools.combinations_with_replacement(range(len(masks)), size):
         cap = P.n + 1 if best is None else best[0][0] + (1 if size > 1 else 0)
-        first = largest(P, [sigs[i] for i in net], cap)
+        first = max_mask_intersection([masks[i] for i in net], cap)[0]
         if first >= cap:
             continue
         key = (first,) if size == 1 else (first, max(map(single, net)))

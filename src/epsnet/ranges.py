@@ -19,16 +19,18 @@ d <= 3 by enumerating canonical separating halfspaces with symbolic
 tie-breaking (a rotating separator keeps boundary points exactly when they
 sit on the half of the boundary it sweeps last).
 
-Both primitives reduce each avoided point once to an exact integer
-signature and then work on integers alone.  For convex sets it is the
-point's tuple of separable-subset bitmasks (``_candidate_masks``), and
-``max_mask_intersection`` intersects one mask per point.  For boxes it is
-the point's place among the sorted coordinates on each axis
-(``box_signature``): in this rank space (Dobkin, Gunopulos & Maass, JCSS
-1996) every input point is its per-axis positions, every region a window of
-positions, and the region scan compares no coordinates.  Search reduces
-each candidate net point once and runs its pair loop on the signatures.
-The same masks decide subset-hull membership (``hull_holds``): in d <= 3 a
+Both range kinds reduce each avoided point once to bitmasks of input
+points, and ``max_mask_intersection``, one kernel for both, intersects one
+mask per point.  For convex sets they are the point's separable-subset
+masks (``_candidate_masks``).  For boxes they are its 2d open-halfspace
+masks (``box_masks``): a closed box misses q iff its points lie strictly on
+one side of q on some axis.  Each is one lookup in per-axis prefix masks,
+the OR of the point bits in sorted order, at q's place among the sorted
+coordinates (``box_signature``), so no region compares a coordinate
+(rank space: Dobkin, Gunopulos & Maass, JCSS 1996); a box region is the AND
+of one mask per avoided point and its count a popcount.  Search reduces
+each candidate net point once and runs its pair loop on the masks.  The
+same masks decide subset-hull membership (``hull_holds``): in d <= 3 a
 subset's hull misses q iff the subset lies inside one of q's masks.
 """
 
@@ -184,8 +186,8 @@ def box_signature(P: PointSet, q: Point) -> tuple[tuple[int, int], ...]:
     """Per axis, q's place among the sorted coordinates of P:
     ``(bisect_right, bisect_left)``.  A point of rank r on an axis lies
     strictly above q there iff r >= bisect_right, and strictly below iff
-    r < bisect_left, so these two integers stand in for q's coordinate in
-    every comparison the region scan makes."""
+    r < bisect_left, so these two integers pick q's masks out of the
+    prefix masks."""
     q = as_point(q, P.dim)
     return tuple(
         (bisect_right(coords, q[a]), bisect_left(coords, q[a]))
@@ -193,72 +195,56 @@ def box_signature(P: PointSet, q: Point) -> tuple[tuple[int, int], ...]:
     )
 
 
-def box_regions_avoiding(P: PointSet, avoid: Sequence[Point]) -> Iterator[list[int]]:
-    """Point indices strictly inside each open region dodging every avoided point.
+@lru_cache(maxsize=64)
+def _axis_prefix_masks(P: PointSet) -> tuple[tuple[int, ...], ...]:
+    """Per axis, ``pre[j]``: the bitmask of the first j points in the axis
+    order of :func:`_axis_orders`, for j = 0..n."""
+    out = []
+    for _, order, _ in _axis_orders(P):
+        pre = [0]
+        for i in order:
+            pre.append(pre[-1] | 1 << i)
+        out.append(tuple(pre))
+    return tuple(out)
+
+
+def _box_side_masks(P: PointSet, q: Point) -> list[int]:
+    """The points strictly below and strictly above q on each axis, as
+    bitmasks: axes ascending, the lower side first."""
+    full = (1 << P.n) - 1
+    out = []
+    for pre, (right, left) in zip(_axis_prefix_masks(P), box_signature(P, q)):
+        out += (pre[left], full ^ pre[right])
+    return out
+
+
+def box_masks(P: PointSet, q: Point) -> tuple[int, ...]:
+    """q's non-empty open-halfspace masks in :func:`_mask_order`: a closed
+    box misses q iff its points lie in one of them, so
+    :func:`max_mask_intersection` over these lists answers box avoidance as
+    it answers convex avoidance over :func:`_candidate_masks`."""
+    return _mask_order(set(filter(None, _box_side_masks(P, q))))
+
+
+def box_regions_avoiding(P: PointSet, avoid: Sequence[Point]) -> Iterator[int]:
+    """The bitmask of P's points strictly inside each open region dodging
+    every avoided point.
 
     A closed box misses all of ``avoid`` iff it fits in one of these
     regions: pick an axis and a side per avoided point and keep the open
-    halfspace strictly beyond that point.  The largest yielded list is the
-    most points a box missing ``avoid`` can hold, and its points' bounding
-    box is such a box.  One list per (axis, side) assignment, in
+    halfspace strictly beyond that point, so a region is the AND of one
+    :func:`_box_side_masks` entry per avoided point.  The largest region is
+    the most points a box missing ``avoid`` can hold, and its points'
+    bounding box is such a box.  One mask per (axis, side) assignment, in
     ``itertools.product`` order over axes ascending with the lower side
-    first; an empty region yields [].
-
-    The scan runs in rank space: each avoided point becomes its
-    :func:`box_signature` and each input point its per-axis ranks (its
-    position in the axis order, ties kept in index order), so a region is a
-    window of ranks per axis and the scan compares no coordinate.  The
-    tightest bound on an axis is the extreme avoided coordinate, and
-    bisection is monotone, so the window is exactly the slab of sorted
-    positions that bisecting the coordinate bounds selects; points equal to
-    an avoided coordinate fall outside it on both sides, as before.  The
-    assignments, the narrowest axis (ties to the lower axis), the scanned
-    slab and its order are therefore unchanged, and so is every list.
+    first; an empty region yields 0.
     """
-    return _box_regions_in_ranks(P, [box_signature(P, q) for q in avoid])
-
-
-def _box_regions_in_ranks(
-    P: PointSet, sigs: Sequence[tuple[tuple[int, int], ...]]
-) -> Iterator[list[int]]:
-    """:func:`box_regions_avoiding` for avoided points given by their
-    :func:`box_signature`.  Each region scans only its narrowest rank
-    window."""
-    orders = _axis_orders(P)
-    d, n = P.dim, P.n
-    sides = [(a, below) for a in range(d) for below in (True, False)]
-    for assign in itertools.product(sides, repeat=len(sigs)):
-        lo = [0] * d  # region holds ranks lo[a] <= r < hi[a] on axis a
-        hi = [n] * d
-        for sig, (a, below) in zip(sigs, assign):
-            if below:
-                if sig[a][1] < hi[a]:
-                    hi[a] = sig[a][1]
-            elif sig[a][0] > lo[a]:
-                lo[a] = sig[a][0]
-        axis = min(range(d), key=lambda a: hi[a] - lo[a])
-        inside = list(orders[axis][1][lo[axis]:hi[axis]])  # [] if empty
-        for a in range(d):
-            if a != axis and inside:
-                rank, l, h = orders[a][2], lo[a], hi[a]
-                inside = [idx for idx in inside if l <= rank[idx] < h]
-        yield inside
-
-
-def largest_box_avoiding(
-    P: PointSet,
-    sigs: Sequence[tuple[tuple[int, int], ...]],
-    stop_at: Optional[int] = None,
-) -> int:
-    """Most points a box missing the points with these signatures holds;
-    returns early once that is at least ``stop_at``."""
-    best = 0
-    for inside in _box_regions_in_ranks(P, sigs):
-        if len(inside) > best:
-            best = len(inside)
-            if stop_at is not None and best >= stop_at:
-                break
-    return best
+    full = (1 << P.n) - 1
+    for sides in itertools.product(*(_box_side_masks(P, q) for q in avoid)):
+        region = full
+        for m in sides:
+            region &= m
+        yield region
 
 
 # ---------------------------------------------------------------------------
@@ -406,37 +392,47 @@ def max_mask_intersection(
     ``(popcount, mask)``.
 
     With the lists of :func:`_candidate_masks` this is the largest subset
-    whose hull misses every avoided point: a subset misses one point iff it
-    lies in one of that point's masks.  Each list must be in
-    :func:`_mask_order`; the first largest intersection in the depth-first
-    order wins.  An empty list (a point no subset avoids) gives ``(0, 0)``;
-    ``stop_at`` returns early once a size at least that large is found.
+    whose hull misses every avoided point, and with those of
+    :func:`box_masks` the most points a box missing them holds: a range
+    misses one point iff its points lie in one of that point's masks.  Each
+    list must be in :func:`_mask_order`; the first largest intersection in
+    the depth-first order wins.  An empty list (a point nothing avoids)
+    gives ``(0, 0)``; ``stop_at`` returns early once a size at least that
+    large is found.
     """
     if not lists:
         raise ValueError("need one mask list per avoided point")
     if not all(lists):
         return 0, 0
-    best = 0
-    best_mask = 0
-    last = len(lists) - 1
+    best, best_mask, _ = _deepest(
+        lists, 0, -1, 0, 0, float("inf") if stop_at is None else stop_at
+    )  # -1 has every bit set
+    return best, best_mask
 
-    def descend(level: int, mask: int) -> bool:
-        nonlocal best, best_mask
+
+def _deepest(lists, level, base, best, best_mask, stop_at):
+    """The descent of :func:`max_mask_intersection` below ``base`` from
+    ``level`` on: ``(best, best_mask, stopped)``.  Masks are sorted by
+    popcount, so none after one no larger than ``best`` can beat it."""
+    if level == len(lists) - 1:
         for m in lists[level]:
             if m.bit_count() <= best:
-                break  # masks sorted by popcount: nothing below can beat best
-            inter = mask & m
+                break
+            inter = base & m
             size = inter.bit_count()
-            if size <= best:
-                continue
-            if level < last:
-                if descend(level + 1, inter):
-                    return True
-                continue
-            best, best_mask = size, inter
-            if stop_at is not None and best >= stop_at:
-                return True
-        return False
-
-    descend(0, -1)  # -1 has every bit set
-    return best, best_mask
+            if size > best:
+                best, best_mask = size, inter
+                if size >= stop_at:
+                    return best, best_mask, True
+        return best, best_mask, False
+    for m in lists[level]:
+        if m.bit_count() <= best:
+            break
+        inter = base & m
+        if inter.bit_count() > best:
+            best, best_mask, stopped = _deepest(
+                lists, level + 1, inter, best, best_mask, stop_at
+            )
+            if stopped:
+                return best, best_mask, True
+    return best, best_mask, False

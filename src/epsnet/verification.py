@@ -10,9 +10,11 @@ Box verdicts are exact: a box misses >= k-i+1 net points iff it fits in
 an open axis-aligned region strictly dodging each of them on some axis, so
 scanning the regions ``ranges.box_regions_avoiding`` yields for every
 (k-i+1)-subset of the net - at most C(k, k-i+1) * (2d)^(k-i+1) of them,
-each in O(n) - decides level i.  The witness is the bounding box of the
-region's points, which dodges the same net points and holds the same
-count.  Repeated coordinates and duplicate points need no special case.
+each one AND of the net points' halfspace bitmasks and one popcount -
+decides level i.  Only a region with at least t_i points is decoded: the
+witness is the bounding box of its points, which dodges the same net
+points and holds the same count.  Repeated coordinates and duplicate
+points need no special case.
 
 Convex verdicts rest on the hulls of t_i = floor(eps_i * n) + 1 points,
 the minimal convex ranges of level i.  In d <= 3 the avoidance oracle
@@ -178,12 +180,13 @@ def verify_weighted_net_boxes(
 
     def scan(level, t):
         for T in itertools.combinations(net.points, k - level + 1):
-            for inside in box_regions_avoiding(P, T):
-                yield None if len(inside) < t else tuple(
-                    (
-                        min(P.points[i][a] for i in inside),
-                        max(P.points[i][a] for i in inside),
-                    )
+            for region in box_regions_avoiding(P, T):
+                if region.bit_count() < t:
+                    yield None
+                    continue
+                inside = [p for i, p in enumerate(P.points) if region >> i & 1]
+                yield tuple(
+                    (min(p[a] for p in inside), max(p[a] for p in inside))
                     for a in range(d)
                 )
 

@@ -6,14 +6,14 @@ separation enumerates candidate hyperplanes, counting is a naive scan.
 At the end sit the plain versions of optimised kernels (the planar
 general-position check, the planar convex-pair construction with its
 Fraction polygon clipping, the 3D avoidance oracle, the Fraction simplex
-tableau, the Fraction box region scan, the search over points, the Fraction
-arrangement vertices, the Fraction probe lattice, the oracle-threshold
-check that queries every pair, the verifiers' per-kind level loops, the
-Fraction box pair and median point, and the Fraction SVG coordinate map),
+tableau, the Fraction box region filter, the closure mask descent, the
+search over points, the Fraction arrangement vertices, the Fraction probe
+lattice, the oracle-threshold check that queries every pair, the
+verifiers' per-kind level loops, the Fraction box pair and median point,
+and the Fraction SVG coordinate map),
 which differential tests hold the library's kernels to, output for output.
 """
 
-from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
@@ -51,7 +51,6 @@ from epsnet.ranges import (
     RangeSpaceKind,
     WeightedNet,
     _candidate_masks,
-    box_regions_avoiding,
     max_subset_avoiding,
 )
 from epsnet.svg import _PALETTE as SVG_PALETTE, _SIZE as SVG_SIZE
@@ -730,40 +729,21 @@ def _slow_axis_orders(P):
 
 
 def slow_box_regions_avoiding(P, avoid):
-    """``ranges.box_regions_avoiding`` on Fraction coordinates, bisecting
-    each region's bounds: the reference the rank-space scan must match list
-    for list, in order."""
-    orders = _slow_axis_orders(P)
-    d, n, pts = P.dim, P.n, P.points
-    sides = [(a, below) for a in range(d) for below in (True, False)]
+    """``ranges.box_regions_avoiding`` as index lists, each filtered from
+    all of P on Fraction coordinates: the points strictly beyond every
+    avoided point on its chosen axis and side.  One list per (axis, side)
+    assignment, in ``itertools.product`` order over axes ascending with the
+    lower side first."""
+    sides = [(a, below) for a in range(P.dim) for below in (True, False)]
     for assign in product(sides, repeat=len(avoid)):
-        lo = [None] * d
-        hi = [None] * d
-        for q, (a, below) in zip(avoid, assign):
-            v = q[a]
-            if below:
-                if hi[a] is None or v < hi[a]:
-                    hi[a] = v
-            elif lo[a] is None or v > lo[a]:
-                lo[a] = v
-        windows = []
-        for a, (coords, _) in enumerate(orders):
-            i = 0 if lo[a] is None else bisect_right(coords, lo[a])
-            j = n if hi[a] is None else bisect_left(coords, hi[a])
-            windows.append((j - i, a, i, j))
-        _, axis, i, j = min(windows)
-        others = [a for a in range(d) if a != axis]
-        inside = []
-        for idx in orders[axis][1][i:j]:  # an empty region has j <= i
-            p = pts[idx]
-            for a in others:
-                if (lo[a] is not None and p[a] <= lo[a]) or (
-                    hi[a] is not None and p[a] >= hi[a]
-                ):
-                    break
-            else:
-                inside.append(idx)
-        yield inside
+        yield [
+            i
+            for i, p in enumerate(P.points)
+            if all(
+                p[a] < q[a] if below else p[a] > q[a]
+                for q, (a, below) in zip(avoid, assign)
+            )
+        ]
 
 
 def slow_largest_box_avoiding(P, avoid, stop_at=None):
@@ -813,6 +793,40 @@ def slow_max_subset_avoiding_witness(P, avoid, stop_at=None):
 
     descend(0, (1 << P.n) - 1)
     return best, tuple(i for i in range(P.n) if best_mask >> i & 1)
+
+
+def slow_max_mask_intersection(lists, stop_at=None):
+    """``ranges.max_mask_intersection`` as a closure descent with
+    ``nonlocal`` state: the same depth-first order, popcount breaks and
+    ``stop_at`` rule."""
+    if not lists:
+        raise ValueError("need one mask list per avoided point")
+    if not all(lists):
+        return 0, 0
+    best = 0
+    best_mask = 0
+    last = len(lists) - 1
+
+    def descend(level, mask):
+        nonlocal best, best_mask
+        for m in lists[level]:
+            if m.bit_count() <= best:
+                break
+            inter = mask & m
+            size = inter.bit_count()
+            if size <= best:
+                continue
+            if level < last:
+                if descend(level + 1, inter):
+                    return True
+                continue
+            best, best_mask = size, inter
+            if stop_at is not None and best >= stop_at:
+                return True
+        return False
+
+    descend(0, -1)
+    return best, best_mask
 
 
 def slow_search(P, kind, candidates, size):
@@ -944,7 +958,7 @@ def slow_verify_boxes(P, net, max_violations=16):
         thr = prof.min_strict_count(level, n)
         level_ok = True
         for T in combinations(net.points, k - level + 1):
-            for inside in box_regions_avoiding(P, T):
+            for inside in slow_box_regions_avoiding(P, T):
                 examined += 1
                 if len(inside) < thr:
                     continue

@@ -15,6 +15,7 @@ import pytest
 
 import epsnet
 from epsnet.cli import (
+    SEARCH_MAX_N,
     _arrangement_candidates,
     _parse_candidates,
     _search,
@@ -402,18 +403,26 @@ def test_search_matches_bruteforce(workspace, capsys, kind, family, size):
 @pytest.mark.parametrize("kind", ["boxes", "convex"])
 @pytest.mark.parametrize("family", ["grid:3", "arrangement"])
 def test_search_matches_slow_search(kind, family, size):
-    """The search on candidate signatures picks the same (counts, net) as
-    the search that queried every net by its points, on random small sets;
-    box inputs repeat coordinates and points."""
+    """The search on candidate masks picks the same (counts, net) as the
+    search that queried every net by its points, on random small sets and
+    at the size caps: boxes at n = SEARCH_MAX_N with grid:3, convex sets at
+    n = 7 and 8 with arrangement; box inputs repeat coordinates and
+    points."""
     rng = random.Random(f"{kind}:{family}:{size}")
     kind = RangeSpaceKind(kind)
-    for _ in range(8):
-        if kind is RangeSpaceKind.AXIS_PARALLEL_BOXES:
-            n, span = rng.randint(2, 8), 3
+    boxes = kind is RangeSpaceKind.AXIS_PARALLEL_BOXES
+    sizes = [rng.randint(2, 8) if boxes else rng.randint(3, 6) for _ in range(8)]
+    if boxes and family == "grid:3":
+        sizes += [SEARCH_MAX_N[kind]] * 2
+    if not boxes and family == "arrangement":
+        sizes += [7, 8]
+    for n in sizes:
+        if boxes:
+            span = 3 if n <= 8 else 6
         else:
-            n, span = rng.randint(3, 6), 6
+            span = 6 if n <= 6 else 20
         pts = [(F(rng.randint(0, span)), F(rng.randint(0, span))) for _ in range(n)]
-        if kind is RangeSpaceKind.AXIS_PARALLEL_BOXES and n > 3:
+        if boxes and n > 3:
             pts[-1] = pts[0]
         P = PointSet(2, tuple(pts))
         candidates = _parse_candidates(P, kind, family)

@@ -19,10 +19,10 @@ from epsnet.ranges import (
     EpsilonProfile,
     RangeSpaceKind,
     WeightedNet,
+    box_masks,
     box_regions_avoiding,
     box_signature,
     count_in_box,
-    largest_box_avoiding,
     max_mask_intersection,
     max_subset_avoiding,
     max_subset_avoiding_witness,
@@ -38,6 +38,7 @@ from helpers import (
     slow_box_regions_avoiding,
     slow_candidate_masks_3d,
     slow_largest_box_avoiding,
+    slow_max_mask_intersection,
     slow_max_subset_avoiding_witness,
     subset_box_counts,
 )
@@ -118,6 +119,10 @@ def test_count_matches_naive(d):
         assert count_in_box(ps, box) == naive_count_in_box(ps, lo, hi)
 
 
+def _mask(indices):
+    return sum(1 << i for i in indices)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_box_regions_avoiding_vs_bruteforce(d):
     """The largest dodging region holds as many points as the best box over
@@ -139,13 +144,14 @@ def test_box_regions_avoiding_vs_bruteforce(d):
             avoid = [rng.choice(pool) for _ in range(m)]
             regions = list(box_regions_avoiding(P, avoid))
             assert len(regions) == (2 * d) ** m
-            best = max(len(inside) for inside in regions)
+            best = max(region.bit_count() for region in regions)
             assert best == brute_max_box_count(boxes, avoid), (trial, avoid)
-            for inside in regions:
+            for region in regions:
+                inside = [p for i, p in enumerate(P.points) if region >> i & 1]
                 if not inside:
                     continue
-                lo = [min(P.points[i][a] for i in inside) for a in range(d)]
-                hi = [max(P.points[i][a] for i in inside) for a in range(d)]
+                lo = [min(p[a] for p in inside) for a in range(d)]
+                hi = [max(p[a] for p in inside) for a in range(d)]
                 assert naive_count_in_box(P, lo, hi) == len(inside)
                 assert not any(
                     all(l <= c <= h for c, l, h in zip(q, lo, hi)) for q in avoid
@@ -155,16 +161,22 @@ def test_box_regions_avoiding_vs_bruteforce(d):
 def test_box_regions_avoiding_order():
     P = P2((0, 0), (2, 1), (1, 3))
     q = (F(1), F(1))
-    assert list(box_regions_avoiding(P, [q])) == [[0], [1], [0], [2]]
-    assert list(box_regions_avoiding(P, [q, q]))[1] == []  # x < 1 and x > 1
+    assert list(box_regions_avoiding(P, [q])) == [0b001, 0b010, 0b001, 0b100]
+    assert list(box_regions_avoiding(P, [q, q]))[1] == 0  # x < 1 and x > 1
+    assert list(box_regions_avoiding(P, [])) == [0b111]
+    assert [_mask(r) for r in slow_box_regions_avoiding(P, [q])] == [
+        0b001, 0b010, 0b001, 0b100
+    ]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_box_regions_avoiding_matches_slow(d):
-    """The rank-space scan yields the Fraction scan's lists, in order, on
-    repeated coordinates and duplicate points, avoiding input points, points
-    sharing a coordinate with one, half-integer points, and repeated avoided
-    points."""
+    """Each (axis, side) mask is the set of points strictly below or above
+    q on that axis, and the region masks are the Fraction filter's index
+    sets, region for region in order, on repeated coordinates and duplicate
+    points, for q an input point, q sharing a coordinate with one,
+    half-integer q and repeated avoided points; the mask descent over
+    box_masks finds the largest region."""
     rng = random.Random(90 + d)
     empty = 0
     for trial in range(60):
@@ -180,17 +192,26 @@ def test_box_regions_avoiding_matches_slow(d):
             for _ in range(3)
         ]
         pool += [tuple(F(rng.randint(-1, 8), 2) for _ in range(d)) for _ in range(3)]
+        for q in pool:
+            sides = []
+            for a in range(d):
+                sides.append(_mask(i for i, p in enumerate(pts) if p[a] < q[a]))
+                sides.append(_mask(i for i, p in enumerate(pts) if p[a] > q[a]))
+            assert ranges._box_side_masks(P, q) == sides, (pts, q)
+            assert box_masks(P, q) == ranges._mask_order(set(sides) - {0})
         for m in (1, 2, 3):
             avoid = [rng.choice(pool) for _ in range(m)]
             if m > 1 and trial % 3 == 0:
                 avoid[-1] = avoid[0]
             fast = list(box_regions_avoiding(P, avoid))
-            assert fast == list(slow_box_regions_avoiding(P, avoid)), (P.points, avoid)
-            empty += fast.count([])
-            sigs = [box_signature(P, q) for q in avoid]
+            slow = [_mask(inside) for inside in slow_box_regions_avoiding(P, avoid)]
+            assert fast == slow, (P.points, avoid)
+            empty += fast.count(0)
+            lists = [box_masks(P, q) for q in avoid]
             for stop_at in (None, 1, 3):
-                got = largest_box_avoiding(P, sigs, stop_at)
+                got, mask = max_mask_intersection(lists, stop_at)
                 want = slow_largest_box_avoiding(P, avoid, stop_at)
+                assert mask.bit_count() == got and mask in fast
                 if stop_at is None or want < stop_at:
                     assert got == want
                 else:
@@ -477,6 +498,29 @@ def test_hull_holds_checks_the_dimension():
 
 
 # --- the mask descent ----------------------------------------------------------
+
+
+def test_mask_intersection_matches_closure_descent():
+    """The module-level descent returns the closure descent's (size, mask)
+    on seeded random lists in mask order: k = 1..4, empty lists, duplicate
+    masks, repeated lists, and stop_at None, 1, 2, 3 and above n."""
+    rng = random.Random(4242)
+    stopped = 0
+    for trial in range(3000):
+        n = rng.randint(1, 12)
+        lists = []
+        for _ in range(rng.randint(1, 4)):
+            if lists and rng.random() < 0.2:
+                lists.append(rng.choice(lists))  # a repeated list
+                continue
+            masks = [rng.getrandbits(n) for _ in range(rng.randint(0, 8))]
+            masks += rng.sample(masks, min(len(masks), rng.randint(0, 2)))
+            lists.append(tuple(sorted(masks, key=lambda m: (-m.bit_count(), m))))
+        for stop_at in (None, 1, 2, 3, n + 1):
+            got = max_mask_intersection(lists, stop_at)
+            assert got == slow_max_mask_intersection(lists, stop_at), (lists, stop_at)
+            stopped += stop_at is not None and got[0] >= stop_at
+    assert stopped > 1000
 
 
 def test_mask_intersection_empty_list():
