@@ -292,14 +292,6 @@ def _parse_candidates(P: PointSet, kind: RangeSpaceKind, text: str) -> list[Poin
     raise ValueError(f"unknown candidate family {text!r}")
 
 
-# per range kind: a candidate's masks, the open halfspaces through it whose
-# points a range missing it must lie in
-_SEARCH_PRIMITIVES = {
-    RangeSpaceKind.AXIS_PARALLEL_BOXES: box_masks,
-    RangeSpaceKind.CONVEX_SETS: _candidate_masks,
-}
-
-
 def _search(P, kind, candidates, size):
     """Lexicographically smallest (largest range missing the whole net,
     largest range missing some net point) over candidate nets.
@@ -309,7 +301,10 @@ def _search(P, kind, candidates, size):
     net's query stops at ``cap``, the smallest first count that can no
     longer win; for pairs a tie still can, on the second count.
     """
-    masks = [_SEARCH_PRIMITIVES[kind](P, q) for q in candidates]
+    # a candidate's masks: the open halfspaces through it whose points a
+    # range missing it must lie in
+    boxes = kind is RangeSpaceKind.AXIS_PARALLEL_BOXES
+    masks = [box_masks(P, q) if boxes else _candidate_masks(P, q) for q in candidates]
     best = None  # ((counts...), candidate indices)
     singles: dict[int, int] = {}
 
@@ -471,11 +466,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args, argv)
     except (EpsnetError, ValueError, OSError) as exc:
-        report = make_report(argv, error=str(exc))
-        sys.stdout.write(dumps_json(report))
-        if getattr(args, "report", None):
-            write_text_atomic(args.report, dumps_json(report))
-        return 2
+        return _finish(make_report(argv, error=str(exc)), args)
 
 
 if __name__ == "__main__":

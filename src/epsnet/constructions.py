@@ -7,13 +7,14 @@ rank computations, never by numeric search.
 Box constructions place cuts so that per axis the "kill" side holds too
 few points to admit a level-1 box and the other side too few for a level-2
 box; the second net point is then the midpoint of the exact intersection
-of per-slab order-statistic boxes.  The pair runs in rank space: every
-point is its per-axis ranks (``ranges._axis_orders``), a mirrored axis
-reverses them, each cut is a rank boundary and each order statistic a
-rank, and only the net points and the cut hyperplanes are read back as
-Fractions from the sorted coordinates.  The three-point construction
-enumerates every canonical box on an integer rank grid (vectorised with
-numpy) and intersects the two assigned families directly.  Constructions
+of per-slab order-statistic boxes.  Both box constructions run in rank
+space: every point is its per-axis ranks (``ranges._axis_orders``), a
+mirrored axis reverses them, each cut is a rank boundary and each order
+statistic or family bound a rank, and only the net points and the cut
+hyperplanes are read back as Fractions from the sorted coordinates.  The
+three-point construction enumerates every canonical box on the rank grid
+one x-slab at a time (``_box_triple_slabs``, the module's only numpy code)
+and intersects the two assigned families directly.  Constructions
 whose count structure cannot meet the requirements raise
 ConstructionFailureError rather than returning an unverified net; the box
 constructors re-verify their output before returning it.
@@ -71,33 +72,67 @@ class ConstructionTrace:
 # profile condition checks
 
 
-def check_convex_pair_conditions(d: int, eps: EpsilonProfile) -> bool:
-    """Both convex-pair inequalities: d*e1 + e2 >= d and e1 >= (2d-1)/(2d+1)."""
+def _convex_pair_failures(d: int, eps: EpsilonProfile) -> list[str]:
+    """The convex-pair inequalities eps fails, one message part each."""
     if d < 2:
         raise ValueError("convex pair conditions are defined for d >= 2")
     if eps.k != 2:
         raise ValueError("need a two-level profile")
     e1, e2 = eps.eps
-    return d * e1 + e2 >= d and e1 >= Fraction(2 * d - 1, 2 * d + 1)
+    bound = Fraction(2 * d - 1, 2 * d + 1)
+    failed = []
+    if d * e1 + e2 < d:
+        failed.append(f"(i) {d}*{e1} + {e2} < {d}")
+    if e1 < bound:
+        failed.append(f"(ii) {e1} < (2d-1)/(2d+1) = {bound}")
+    return failed
 
 
-def check_box_pair_conditions(d: int, eps: EpsilonProfile) -> bool:
-    """Box-pair inequalities: e1 >= 3^(d-1)/(2*3^(d-1)+1) and e1 + e2 >= 1."""
+def check_convex_pair_conditions(d: int, eps: EpsilonProfile) -> bool:
+    """Both convex-pair inequalities: d*e1 + e2 >= d and e1 >= (2d-1)/(2d+1)."""
+    return not _convex_pair_failures(d, eps)
+
+
+def _box_pair_failures(d: int, eps: EpsilonProfile) -> list[str]:
+    """The box-pair inequalities eps fails, one message part each."""
     if d < 2:
         raise ValueError("box pair conditions are defined for d >= 2")
     if eps.k != 2:
         raise ValueError("need a two-level profile")
     e1, e2 = eps.eps
     p = 3 ** (d - 1)
-    return e1 >= Fraction(p, 2 * p + 1) and e1 + e2 >= 1
+    bound = Fraction(p, 2 * p + 1)
+    failed = []
+    if e1 < bound:
+        failed.append(f"(i) {e1} < 3^(d-1)/(2*3^(d-1)+1) = {bound}")
+    if e1 + e2 < 1:
+        failed.append(f"(ii) {e1} + {e2} < 1")
+    return failed
+
+
+def check_box_pair_conditions(d: int, eps: EpsilonProfile) -> bool:
+    """Box-pair inequalities: e1 >= 3^(d-1)/(2*3^(d-1)+1) and e1 + e2 >= 1."""
+    return not _box_pair_failures(d, eps)
+
+
+def _box_triple_failures(eps: EpsilonProfile) -> list[str]:
+    """The box-triple inequalities eps fails, one message part each."""
+    if eps.k != 3:
+        raise ValueError("need a three-level profile")
+    e1, e2, e3 = eps.eps
+    failed = []
+    if e1 < Fraction(3, 8):
+        failed.append(f"(i) {e1} < 3/8")
+    if e2 < HALF:
+        failed.append(f"(ii) {e2} < 1/2")
+    if e1 + e3 < 1:
+        failed.append(f"(iii) {e1} + {e3} < 1")
+    return failed
 
 
 def check_box_triple_conditions(eps: EpsilonProfile) -> bool:
     """Planar box-triple inequalities: e1 >= 3/8, e2 >= 1/2, e1 + e3 >= 1."""
-    if eps.k != 3:
-        raise ValueError("need a three-level profile")
-    e1, e2, e3 = eps.eps
-    return e1 >= Fraction(3, 8) and e2 >= HALF and e1 + e3 >= 1
+    return not _box_triple_failures(eps)
 
 
 # ---------------------------------------------------------------------------
@@ -127,15 +162,9 @@ def construct_convex_pair(
     enumerates no subset hulls; the joint LP path refuses more than 400
     member hulls before enumerating any.
     """
-    if not check_convex_pair_conditions(P.dim, eps):
-        e1, e2 = eps.eps
-        d = P.dim
-        parts = []
-        if d * e1 + e2 < d:
-            parts.append(f"(i) {d}*{e1} + {e2} < {d}")
-        if e1 < Fraction(2 * d - 1, 2 * d + 1):
-            parts.append(f"(ii) {e1} < (2d-1)/(2d+1) = {Fraction(2*d-1, 2*d+1)}")
-        raise ConditionError("convex pair conditions fail: " + "; ".join(parts))
+    failed = _convex_pair_failures(P.dim, eps)
+    if failed:
+        raise ConditionError("convex pair conditions fail: " + "; ".join(failed))
     P.check_general_position()
     n, d = P.n, P.dim
     t1 = eps.min_strict_count(1, n)
@@ -351,15 +380,9 @@ def construct_box_pair_highd(
     coordinates.
     """
     d, n = P.dim, P.n
-    if not check_box_pair_conditions(d, eps):
-        e1, e2 = eps.eps
-        p = 3 ** (d - 1)
-        parts = []
-        if e1 < Fraction(p, 2 * p + 1):
-            parts.append(f"(i) {e1} < 3^(d-1)/(2*3^(d-1)+1) = {Fraction(p, 2*p+1)}")
-        if e1 + e2 < 1:
-            parts.append(f"(ii) {e1} + {e2} < 1")
-        raise ConditionError("box pair conditions fail: " + "; ".join(parts))
+    failed = _box_pair_failures(d, eps)
+    if failed:
+        raise ConditionError("box pair conditions fail: " + "; ".join(failed))
     P.require_distinct_coords()
     orders = _axis_orders(P)
     e1, e2 = eps.eps
@@ -457,6 +480,69 @@ def construct_box_pair_highd(
     return net, trace
 
 
+def _box_triple_slabs(xrank, yrank, t1, t2, t3):
+    """The triple's family members, one x-slab of the rank grid at a time.
+
+    A box is [xi, xj] x [yi, yj] in ranks.  Ranks below n // 2 lie strictly
+    below a halving cut and ranks from (n + 1) // 2 strictly above it.
+    Yields ``(xi, xj, [a, b])`` for each x-slab that holds a box over
+    the level-1 threshold, xi ascending, then xj.  a and b are the slab's
+    members of families A and B: None, or ``(first, top, bottom)``, each a
+    member (yi, yj): the first in row-major order, the first in the highest
+    member row and the first member of the lowest member column.
+
+    This is the construction's only numpy code: one (n+1) x (n+1) prefix
+    count grid, and per slab a matrix of box counts per region.
+    """
+    n = len(xrank)
+    half, above = n // 2, (n + 1) // 2
+    grid = np.zeros((n + 1, n + 1), dtype=np.int32)
+    grid[np.array(xrank) + 1, np.array(yrank) + 1] = 1
+    M = grid.cumsum(axis=0).cumsum(axis=1)
+    ys = np.arange(n)
+    clear_y = ~((ys[:, None] < above) & (ys[None, :] >= half))  # misses the y cut
+
+    def box_counts(col):
+        # col[j] counts the slab's points with y rank below j
+        return col[1:] - col[:-1, None]
+
+    for xi in range(n):
+        for xj in range(xi, n):
+            col = M[xj + 1] - M[xi]
+            if col[n] < t1:
+                continue  # whole x-slab too thin
+            cnt = box_counts(col)  # the box [0, n-1] reaches t1
+            rel = cnt >= t1
+            na = box_counts(np.maximum(col - col[above], 0))
+            nb = box_counts(np.minimum(col, col[half]))
+            nl = box_counts(M[min(xj + 1, half)] - M[min(xi, half)])
+            nr = box_counts(M[xj + 1] - M[min(max(xi, above), xj + 1)])
+            # each box goes to the region holding most of its points, ties
+            # resolved above, below, left, right; A takes above and left
+            side_a = (na >= np.maximum(np.maximum(nb, nl), nr)) | (
+                (nl > nb) & (nl >= nr)
+            )
+            if xi < above and xj >= half:
+                # a box around p1 must meet the level-2 threshold
+                rel &= clear_y | (cnt >= t2)
+            big3 = cnt >= t3
+            found = []
+            for mem in (rel & side_a | big3, rel & ~side_a | big3):
+                rows = mem.any(axis=1)
+                r0 = int(rows.argmax())
+                if not rows[r0]:
+                    found.append(None)
+                    continue
+                top = n - 1 - int(rows[::-1].argmax())
+                bottom = int(mem.any(axis=0).argmax())
+                found.append((
+                    (r0, int(mem[r0].argmax())),
+                    (top, int(mem[top].argmax())),
+                    (int(mem[:, bottom].argmax()), bottom),
+                ))
+            yield xi, xj, found
+
+
 def construct_box_triple_2d(
     P: PointSet, eps: EpsilonProfile
 ) -> tuple[WeightedNet, ConstructionTrace]:
@@ -472,183 +558,87 @@ def construct_box_triple_2d(
     level-2 threshold; family B the below/right ones; level-3 boxes join
     both.  p2 and p3 are the midpoints of the families' intersections,
     and the net is re-verified before being returned.
+
+    The construction runs on the per-axis ranks of ``_axis_orders``: a
+    mirrored x-axis reads rank r as n - 1 - r, every canonical box is a
+    rectangle of ranks (``_box_triple_slabs``), and each family's
+    intersection is four rank bounds.  Only the net points and the cut
+    hyperplanes are read back from the sorted coordinates.
     """
     if P.dim != 2:
         raise DegenerateInputError("construct_box_triple_2d needs d = 2")
-    if not check_box_triple_conditions(eps):
-        e1, e2, e3 = eps.eps
-        parts = []
-        if e1 < Fraction(3, 8):
-            parts.append(f"(i) {e1} < 3/8")
-        if e2 < HALF:
-            parts.append(f"(ii) {e2} < 1/2")
-        if e1 + e3 < 1:
-            parts.append(f"(iii) {e1} + {e3} < 1")
-        raise ConditionError("box triple conditions fail: " + "; ".join(parts))
+    failed = _box_triple_failures(eps)
+    if failed:
+        raise ConditionError("box triple conditions fail: " + "; ".join(failed))
     P.require_distinct_coords()
     n = P.n
     t1 = eps.min_strict_count(1, n)
     t2 = eps.min_strict_count(2, n)
     t3 = eps.min_strict_count(3, n)
+    (xc, _, xrank), (yc, _, yrank) = _axis_orders(P)
+    half, above = n // 2, (n + 1) // 2
 
-    def halving_ranks(m):
-        # (first rank strictly above the cut, number of ranks strictly below)
-        if m % 2 == 0:
-            return m // 2, m // 2, False
-        return m // 2 + 1, m // 2, True
+    def cut(coords: tuple[Fraction, ...]) -> Fraction:
+        return coords[half] if n % 2 else (coords[half - 1] + coords[half]) / 2
 
-    xs = [p[0] for p in P.points]
-    ys = [p[1] for p in P.points]
-    xa, xb, x_on = halving_ranks(n)
-    ya, yb, y_on = halving_ranks(n)
-    ys_sorted = sorted(ys)
+    p1 = (cut(xc), cut(yc))
+    # quadrants above the y cut, left and right of the x cut
+    ups = [x for x, y in zip(xrank, yrank) if y >= above]
+    heavy = sum(1 for x in ups if x < half)
+    light = sum(1 for x in ups if x >= above)
+    mirror = heavy < light
+    if mirror:
+        xrank = [n - 1 - r for r in xrank]
+        heavy, light = light, heavy
 
-    # quadrant counts against the cut ranks, for the mirror decision
-    def strict_counts(flip):
-        sx = [-x for x in xs] if flip else xs
-        sxs = sorted(sx)
-        cut_x = sxs[xb] if x_on else (sxs[xb - 1] + sxs[xb]) / 2
-        cut_y = ys_sorted[yb] if y_on else (ys_sorted[yb - 1] + ys_sorted[yb]) / 2
-        nw_ = sum(1 for x, y in zip(sx, ys) if x < cut_x and y > cut_y)
-        ne_ = sum(1 for x, y in zip(sx, ys) if x > cut_x and y > cut_y)
-        return nw_, ne_, cut_x, cut_y
-
-    nw0, ne0, _, _ = strict_counts(False)
-    mirror = nw0 < ne0
-    work_x = [-x for x in xs] if mirror else xs
-    nw_, ne_, cut_x, cut_y = strict_counts(mirror)
-
-    xrank = {v: r for r, v in enumerate(sorted(work_x))}
-    yrank = {v: r for r, v in enumerate(ys_sorted)}
-    xr = np.array([xrank[v] for v in work_x], dtype=np.int32)
-    yr = np.array([yrank[v] for v in ys], dtype=np.int32)
-    grid = np.zeros((n + 1, n + 1), dtype=np.int32)
-    grid[xr + 1, yr + 1] = 1
-    M = grid.cumsum(axis=0).cumsum(axis=1)
-
-    xcoords = sorted(work_x)
-    ycoords = ys_sorted
-
-    class _FamilyBounds:
-        """Running intersection of member boxes, in rank coordinates.
-
-        ``src`` keeps an actual member box behind each extreme bound so an
-        empty intersection can name an offending pair.
-        """
-
-        __slots__ = ("lo_x", "hi_x", "lo_y", "hi_y", "src")
-
-        def __init__(self):
-            self.lo_x = self.hi_x = self.lo_y = self.hi_y = None
-            self.src = {}
-
-        def add(self, xi, xj, mem):
-            rows = np.nonzero(mem.any(axis=1))[0]
-            cols = np.nonzero(mem.any(axis=0))[0]
-            yi_top = int(rows[-1])
-            yj_bot = int(cols[0])
-            first = (xi, xj, int(rows[0]), int(np.nonzero(mem[rows[0]])[0][0]))
-            if self.lo_x is None or xi > self.lo_x:
-                self.lo_x = xi
-                self.src["lo_x"] = first
-            if self.hi_x is None or xj < self.hi_x:
-                self.hi_x = xj
-                self.src["hi_x"] = first
-            if self.lo_y is None or yi_top > self.lo_y:
-                self.lo_y = yi_top
-                self.src["lo_y"] = (
-                    xi, xj, yi_top, int(np.nonzero(mem[yi_top])[0][0]),
-                )
-            if self.hi_y is None or yj_bot < self.hi_y:
-                self.hi_y = yj_bot
-                self.src["hi_y"] = (
-                    xi, xj, int(np.nonzero(mem[:, yj_bot])[0][0]), yj_bot,
-                )
-
-    fam_a = _FamilyBounds()
-    fam_b = _FamilyBounds()
-    yi_idx = np.arange(n, dtype=np.int32)
-    for xi in range(n):
-        for xj in range(xi, n):
-            col = M[xj + 1, :] - M[xi, :]
-            if col[n] < t1:
-                continue  # whole x-slab too thin
-            col_low = np.minimum(col, col[yb])
-            col_high = np.maximum(col - col[ya], 0)
-            col_left = M[min(xj + 1, xb), :] - M[min(xi, xb), :]
-            col_right = M[xj + 1, :] - M[max(xi, xa), :] if xj + 1 > xa else None
-            if col_right is None:
-                col_right = np.zeros_like(col)
-            else:
-                col_right = np.maximum(col_right, 0)
-            cnt = col[1:][None, :] - col[:-1][:, None]
-            rel = cnt >= t1
-            if not rel.any():
+    # per family: lo_x, hi_x, lo_y, hi_y as (rank, the member box
+    # (xi, xj, yi, yj) that last strictly moved it)
+    families = [[(-1, None), (n, None), (-1, None), (n, None)] for _ in "AB"]
+    for xi, xj, members in _box_triple_slabs(xrank, yrank, t1, t2, t3):
+        for bounds, found in zip(families, members):
+            if found is None:
                 continue
-            na = col_high[1:][None, :] - col_high[:-1][:, None]
-            nb = col_low[1:][None, :] - col_low[:-1][:, None]
-            nl = col_left[1:][None, :] - col_left[:-1][:, None]
-            nr = col_right[1:][None, :] - col_right[:-1][:, None]
-            is_a = (na >= nb) & (na >= nl) & (na >= nr)
-            is_b = ~is_a & (nb >= nl) & (nb >= nr)
-            is_l = ~is_a & ~is_b & (nl >= nr)
-            if x_on:
-                contains_x = xi <= xb <= xj
-            else:
-                contains_x = xi < xb <= xj
-            if y_on:
-                contains_y = (yi_idx[:, None] <= yb) & (np.arange(n)[None, :] >= yb)
-            else:
-                contains_y = (yi_idx[:, None] < yb) & (np.arange(n)[None, :] >= yb)
-            avoid = ~(contains_x & contains_y)
-            eligible = avoid | (cnt >= t2)
-            mem_a = rel & (is_a | is_l) & eligible
-            mem_b = rel & ~(is_a | is_l) & eligible
-            big3 = cnt >= t3
-            mem_a |= big3
-            mem_b |= big3
-            for fam, mem in ((fam_a, mem_a), (fam_b, mem_b)):
-                if mem.any():
-                    fam.add(xi, xj, mem)
+            first, top, bottom = ((xi, xj) + box for box in found)
+            if xi > bounds[0][0]:
+                bounds[0] = (xi, first)
+            if xj < bounds[1][0]:
+                bounds[1] = (xj, first)
+            if top[2] > bounds[2][0]:
+                bounds[2] = (top[2], top)
+            if bottom[3] < bounds[3][0]:
+                bounds[3] = (bottom[3], bottom)
 
-    def resolve(fam, name):
-        if fam.lo_x is None:
-            return (cut_x, cut_y)
-        if fam.lo_x > fam.hi_x or fam.lo_y > fam.hi_y:
-            axis = "x" if fam.lo_x > fam.hi_x else "y"
-            a_box = fam.src["lo_" + axis]
-            b_box = fam.src["hi_" + axis]
-            raise ConstructionFailureError(
-                f"family {name}: boxes {a_box} and {b_box} (rank coordinates)"
-                f" are disjoint on axis {axis}"
-            )
-        px = (xcoords[fam.lo_x] + xcoords[fam.hi_x]) / 2
-        py = (ycoords[fam.lo_y] + ycoords[fam.hi_y]) / 2
-        return (px, py)
+    def x_at(r: int) -> Fraction:
+        return xc[n - 1 - r if mirror else r]
 
-    p1_work = (cut_x, cut_y)
-    p2_work = resolve(fam_a, "A")
-    p3_work = resolve(fam_b, "B")
-
-    def unmirror(q):
-        return (-q[0], q[1]) if mirror else q
-
-    p1, p2, p3 = unmirror(p1_work), unmirror(p2_work), unmirror(p3_work)
+    points = [p1]
+    for name, (lo_x, hi_x, lo_y, hi_y) in zip("AB", families):
+        if lo_x[1] is None:
+            points.append(p1)  # no member box
+            continue
+        for axis, lo, hi in (("x", lo_x, hi_x), ("y", lo_y, hi_y)):
+            if lo[0] > hi[0]:
+                raise ConstructionFailureError(
+                    f"family {name}: boxes {lo[1]} and {hi[1]} (rank coordinates)"
+                    f" are disjoint on axis {axis}"
+                )
+        points.append((
+            (x_at(lo_x[0]) + x_at(hi_x[0])) / 2,
+            (yc[lo_y[0]] + yc[hi_y[0]]) / 2,
+        ))
+    p1, p2, p3 = points
     net = WeightedNet((p1, p2, p3), eps)
     report = verify_weighted_net_boxes(P, net)
     trace = ConstructionTrace(
         method="box-triple",
-        hyperplanes=(
-            Hyperplane.axis(2, 0, -cut_x if mirror else cut_x),
-            Hyperplane.axis(2, 1, cut_y),
-        ),
+        hyperplanes=(Hyperplane.axis(2, 0, p1[0]), Hyperplane.axis(2, 1, p1[1])),
         counts=(
             ("n", n),
             ("t1", t1),
             ("t2", t2),
             ("t3", t3),
-            ("quad_heavy", nw_),
-            ("quad_light", ne_),
+            ("quad_heavy", heavy),
+            ("quad_light", light),
         ),
         class_sizes=(),
         witnesses=(("p1", p1), ("p2", p2), ("p3", p3)),

@@ -153,24 +153,12 @@ def net_to_json(net: WeightedNet) -> dict:
     }
 
 
-def _witness_to_json(witness: Union[BoxRange, SubsetHull]) -> dict:
-    if isinstance(witness, BoxRange):
-        return {
-            "kind": "box",
-            "intervals": [
-                [fraction_to_json(lo), fraction_to_json(hi)]
-                for lo, hi in witness.intervals
-            ],
-        }
-    return {"kind": "subset-hull", "indices": list(witness.indices)}
-
-
 def violation_to_json(v: Violation) -> dict:
     return {
         "level": v.level,
         "net_count": v.net_count,
         "point_count": v.point_count,
-        "witness": _witness_to_json(v.witness),
+        "witness": _body_to_json(v.witness),
     }
 
 
@@ -207,6 +195,15 @@ def certification_to_json(report: CertificationReport) -> dict:
 
 
 def _body_to_json(body) -> dict:
+    """A violation witness or a gadget witness body."""
+    if isinstance(body, BoxRange):
+        return {
+            "kind": "box",
+            "intervals": [
+                [fraction_to_json(lo), fraction_to_json(hi)]
+                for lo, hi in body.intervals
+            ],
+        }
     if isinstance(body, SubsetHull):
         return {"kind": "subset-hull", "indices": list(body.indices)}
     if isinstance(body, HPolytope):

@@ -9,8 +9,8 @@ Fraction polygon clipping, the 3D avoidance oracle, the Fraction simplex
 tableau, the Fraction box region filter, the closure mask descent, the
 search over points, the Fraction arrangement vertices, the Fraction probe
 lattice, the oracle-threshold check that queries every pair, the
-verifiers' per-kind level loops, the Fraction box pair and median point,
-and the Fraction SVG coordinate map),
+verifiers' per-kind level loops, the Fraction box pair, triple and median
+point, and the Fraction SVG coordinate map),
 which differential tests hold the library's kernels to, output for output.
 """
 
@@ -19,10 +19,13 @@ from itertools import combinations, combinations_with_replacement, product
 from math import comb
 import random
 
+import numpy as np
+
 from epsnet.constructions import (
     ConstructionTrace,
     _count_small_side,
     check_box_pair_conditions,
+    check_box_triple_conditions,
 )
 from epsnet.errors import (
     ConditionError,
@@ -1221,6 +1224,201 @@ def slow_box_pair_highd(P, eps):
     if not report.passed:
         raise ConstructionFailureError(
             f"constructed pair fails verification: {report.violations[:1]}",
+            trace=trace,
+        )
+    return net, trace
+
+
+def slow_box_triple_2d(P, eps):
+    """``constructions.construct_box_triple_2d`` on Fraction coordinates:
+    the x-axis is negated when mirrored, the cuts and quadrant counts come
+    from sorted Fractions, and numpy spreads over the whole slab scan.  The
+    reference the rank-model construction must match net for net, trace
+    for trace and message for message."""
+    if P.dim != 2:
+        raise DegenerateInputError("construct_box_triple_2d needs d = 2")
+    if not check_box_triple_conditions(eps):
+        e1, e2, e3 = eps.eps
+        parts = []
+        if e1 < F(3, 8):
+            parts.append(f"(i) {e1} < 3/8")
+        if e2 < F(1, 2):
+            parts.append(f"(ii) {e2} < 1/2")
+        if e1 + e3 < 1:
+            parts.append(f"(iii) {e1} + {e3} < 1")
+        raise ConditionError("box triple conditions fail: " + "; ".join(parts))
+    P.require_distinct_coords()
+    n = P.n
+    t1 = eps.min_strict_count(1, n)
+    t2 = eps.min_strict_count(2, n)
+    t3 = eps.min_strict_count(3, n)
+
+    def halving_ranks(m):
+        # (first rank strictly above the cut, number of ranks strictly below)
+        if m % 2 == 0:
+            return m // 2, m // 2, False
+        return m // 2 + 1, m // 2, True
+
+    xs = [p[0] for p in P.points]
+    ys = [p[1] for p in P.points]
+    xa, xb, x_on = halving_ranks(n)
+    ya, yb, y_on = halving_ranks(n)
+    ys_sorted = sorted(ys)
+
+    # quadrant counts against the cut ranks, for the mirror decision
+    def strict_counts(flip):
+        sx = [-x for x in xs] if flip else xs
+        sxs = sorted(sx)
+        cut_x = sxs[xb] if x_on else (sxs[xb - 1] + sxs[xb]) / 2
+        cut_y = ys_sorted[yb] if y_on else (ys_sorted[yb - 1] + ys_sorted[yb]) / 2
+        nw_ = sum(1 for x, y in zip(sx, ys) if x < cut_x and y > cut_y)
+        ne_ = sum(1 for x, y in zip(sx, ys) if x > cut_x and y > cut_y)
+        return nw_, ne_, cut_x, cut_y
+
+    nw0, ne0, _, _ = strict_counts(False)
+    mirror = nw0 < ne0
+    work_x = [-x for x in xs] if mirror else xs
+    nw_, ne_, cut_x, cut_y = strict_counts(mirror)
+
+    xrank = {v: r for r, v in enumerate(sorted(work_x))}
+    yrank = {v: r for r, v in enumerate(ys_sorted)}
+    xr = np.array([xrank[v] for v in work_x], dtype=np.int32)
+    yr = np.array([yrank[v] for v in ys], dtype=np.int32)
+    grid = np.zeros((n + 1, n + 1), dtype=np.int32)
+    grid[xr + 1, yr + 1] = 1
+    M = grid.cumsum(axis=0).cumsum(axis=1)
+
+    xcoords = sorted(work_x)
+    ycoords = ys_sorted
+
+    class _FamilyBounds:
+        """Running intersection of member boxes, in rank coordinates.
+
+        ``src`` keeps an actual member box behind each extreme bound so an
+        empty intersection can name an offending pair.
+        """
+
+        __slots__ = ("lo_x", "hi_x", "lo_y", "hi_y", "src")
+
+        def __init__(self):
+            self.lo_x = self.hi_x = self.lo_y = self.hi_y = None
+            self.src = {}
+
+        def add(self, xi, xj, mem):
+            rows = np.nonzero(mem.any(axis=1))[0]
+            cols = np.nonzero(mem.any(axis=0))[0]
+            yi_top = int(rows[-1])
+            yj_bot = int(cols[0])
+            first = (xi, xj, int(rows[0]), int(np.nonzero(mem[rows[0]])[0][0]))
+            if self.lo_x is None or xi > self.lo_x:
+                self.lo_x = xi
+                self.src["lo_x"] = first
+            if self.hi_x is None or xj < self.hi_x:
+                self.hi_x = xj
+                self.src["hi_x"] = first
+            if self.lo_y is None or yi_top > self.lo_y:
+                self.lo_y = yi_top
+                self.src["lo_y"] = (
+                    xi, xj, yi_top, int(np.nonzero(mem[yi_top])[0][0]),
+                )
+            if self.hi_y is None or yj_bot < self.hi_y:
+                self.hi_y = yj_bot
+                self.src["hi_y"] = (
+                    xi, xj, int(np.nonzero(mem[:, yj_bot])[0][0]), yj_bot,
+                )
+
+    fam_a = _FamilyBounds()
+    fam_b = _FamilyBounds()
+    yi_idx = np.arange(n, dtype=np.int32)
+    for xi in range(n):
+        for xj in range(xi, n):
+            col = M[xj + 1, :] - M[xi, :]
+            if col[n] < t1:
+                continue  # whole x-slab too thin
+            col_low = np.minimum(col, col[yb])
+            col_high = np.maximum(col - col[ya], 0)
+            col_left = M[min(xj + 1, xb), :] - M[min(xi, xb), :]
+            col_right = M[xj + 1, :] - M[max(xi, xa), :] if xj + 1 > xa else None
+            if col_right is None:
+                col_right = np.zeros_like(col)
+            else:
+                col_right = np.maximum(col_right, 0)
+            cnt = col[1:][None, :] - col[:-1][:, None]
+            rel = cnt >= t1
+            if not rel.any():
+                continue
+            na = col_high[1:][None, :] - col_high[:-1][:, None]
+            nb = col_low[1:][None, :] - col_low[:-1][:, None]
+            nl = col_left[1:][None, :] - col_left[:-1][:, None]
+            nr = col_right[1:][None, :] - col_right[:-1][:, None]
+            is_a = (na >= nb) & (na >= nl) & (na >= nr)
+            is_b = ~is_a & (nb >= nl) & (nb >= nr)
+            is_l = ~is_a & ~is_b & (nl >= nr)
+            if x_on:
+                contains_x = xi <= xb <= xj
+            else:
+                contains_x = xi < xb <= xj
+            if y_on:
+                contains_y = (yi_idx[:, None] <= yb) & (np.arange(n)[None, :] >= yb)
+            else:
+                contains_y = (yi_idx[:, None] < yb) & (np.arange(n)[None, :] >= yb)
+            avoid = ~(contains_x & contains_y)
+            eligible = avoid | (cnt >= t2)
+            mem_a = rel & (is_a | is_l) & eligible
+            mem_b = rel & ~(is_a | is_l) & eligible
+            big3 = cnt >= t3
+            mem_a |= big3
+            mem_b |= big3
+            for fam, mem in ((fam_a, mem_a), (fam_b, mem_b)):
+                if mem.any():
+                    fam.add(xi, xj, mem)
+
+    def resolve(fam, name):
+        if fam.lo_x is None:
+            return (cut_x, cut_y)
+        if fam.lo_x > fam.hi_x or fam.lo_y > fam.hi_y:
+            axis = "x" if fam.lo_x > fam.hi_x else "y"
+            a_box = fam.src["lo_" + axis]
+            b_box = fam.src["hi_" + axis]
+            raise ConstructionFailureError(
+                f"family {name}: boxes {a_box} and {b_box} (rank coordinates)"
+                f" are disjoint on axis {axis}"
+            )
+        px = (xcoords[fam.lo_x] + xcoords[fam.hi_x]) / 2
+        py = (ycoords[fam.lo_y] + ycoords[fam.hi_y]) / 2
+        return (px, py)
+
+    p1_work = (cut_x, cut_y)
+    p2_work = resolve(fam_a, "A")
+    p3_work = resolve(fam_b, "B")
+
+    def unmirror(q):
+        return (-q[0], q[1]) if mirror else q
+
+    p1, p2, p3 = unmirror(p1_work), unmirror(p2_work), unmirror(p3_work)
+    net = WeightedNet((p1, p2, p3), eps)
+    report = verify_weighted_net_boxes(P, net)
+    trace = ConstructionTrace(
+        method="box-triple",
+        hyperplanes=(
+            Hyperplane.axis(2, 0, -cut_x if mirror else cut_x),
+            Hyperplane.axis(2, 1, cut_y),
+        ),
+        counts=(
+            ("n", n),
+            ("t1", t1),
+            ("t2", t2),
+            ("t3", t3),
+            ("quad_heavy", nw_),
+            ("quad_light", ne_),
+        ),
+        class_sizes=(),
+        witnesses=(("p1", p1), ("p2", p2), ("p3", p3)),
+        notes=(("mirrored x",) if mirror else ()),
+    )
+    if not report.passed:
+        raise ConstructionFailureError(
+            f"constructed triple fails verification: {report.violations[:1]}",
             trace=trace,
         )
     return net, trace

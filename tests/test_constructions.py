@@ -37,6 +37,7 @@ from helpers import (
     random_pointset,
     slow_box_median_point,
     slow_box_pair_highd,
+    slow_box_triple_2d,
     slow_convex_pair_2d,
     slow_side_counts,
 )
@@ -93,6 +94,47 @@ def test_box_triple_conditions_table():
     assert not check_box_triple_conditions(EpsilonProfile((F(3, 8), F(1, 2), F(3, 5))))
     with pytest.raises(ValueError):
         check_box_triple_conditions(PAIR)
+
+
+_CONDITION_MESSAGES = [
+    (construct_convex_pair, 2, (F(1, 2), F(3, 4)),
+     "convex pair conditions fail: (i) 2*1/2 + 3/4 < 2;"
+     " (ii) 1/2 < (2d-1)/(2d+1) = 3/5"),
+    (construct_convex_pair, 2, (F(3, 5), F(3, 4)),
+     "convex pair conditions fail: (i) 2*3/5 + 3/4 < 2"),
+    (construct_convex_pair, 2, (F(29, 50), F(9, 10)),
+     "convex pair conditions fail: (ii) 29/50 < (2d-1)/(2d+1) = 3/5"),
+    (construct_convex_pair, 3, (F(2, 3), F(3, 4)),
+     "convex pair conditions fail: (i) 3*2/3 + 3/4 < 3;"
+     " (ii) 2/3 < (2d-1)/(2d+1) = 5/7"),
+    (construct_box_pair_highd, 2, (F(2, 5), F(3, 5)),
+     "box pair conditions fail: (i) 2/5 < 3^(d-1)/(2*3^(d-1)+1) = 3/7"),
+    (construct_box_pair_highd, 2, (F(3, 7), F(1, 2)),
+     "box pair conditions fail: (ii) 3/7 + 1/2 < 1"),
+    (construct_box_pair_highd, 3, (F(2, 5), F(1, 2)),
+     "box pair conditions fail: (i) 2/5 < 3^(d-1)/(2*3^(d-1)+1) = 9/19;"
+     " (ii) 2/5 + 1/2 < 1"),
+    (construct_box_triple_2d, 2, (F(3, 8), F(2, 5), F(5, 8)),
+     "box triple conditions fail: (ii) 2/5 < 1/2"),
+    (construct_box_triple_2d, 2, (F(3, 8), F(1, 2), F(3, 5)),
+     "box triple conditions fail: (iii) 3/8 + 3/5 < 1"),
+    (construct_box_triple_2d, 2, (F(1, 3), F(2, 5), F(1, 2)),
+     "box triple conditions fail: (i) 1/3 < 3/8; (ii) 2/5 < 1/2;"
+     " (iii) 1/3 + 1/2 < 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, d, eps, message",
+    _CONDITION_MESSAGES,
+    ids=[f"{case[0].__name__}-{i}" for i, case in enumerate(_CONDITION_MESSAGES)],
+)
+def test_condition_error_messages(build, d, eps, message):
+    """Each constructor names exactly the inequalities its profile fails."""
+    P = random_pointset(random.Random(3), 8, d)
+    with pytest.raises(ConditionError) as info:
+        build(P, EpsilonProfile(eps))
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +465,40 @@ def test_box_triple_needs_2d():
     P = random_pointset(rng, 16, 3)
     with pytest.raises(DegenerateInputError):
         construct_box_triple_2d(P, TRIPLE)
+
+
+# (seed, n) of random_pointset inputs whose family B fails on axis x or y
+_TRIPLE_FAILURES = [(4, 13), (180, 5), (194, 13), (218, 21)]
+
+
+def test_box_triple_matches_fraction_reference():
+    """The rank-model triple against the Fraction construction: the same
+    (net, trace), or the same error, message and trace, for odd and even
+    n from 5 to 62, integer, negative and mixed-denominator coordinates,
+    mirrored and plain sets, two profiles and family failures on both
+    axes."""
+    rng = random.Random(1203)
+    profiles = (TRIPLE, EpsilonProfile((F(3, 8), F(1, 2), F(9, 10))))
+    cases = []
+    for n in range(5, 63, 3):
+        if n % 2:
+            P = _rational_pointset(rng, n, 2)
+        else:
+            P = random_pointset(rng, n, 2, lo=-150, hi=150)
+        cases.append((P, profiles[n % 4 < 2]))
+        flipped = affine_map(P, (F(-1), F(1)), (F(0), F(0)))
+        cases.append((flipped, profiles[n % 4 >= 2]))
+    for seed, n in _TRIPLE_FAILURES:
+        cases.append((random_pointset(random.Random(seed), n, 2), TRIPLE))
+    seen = set()
+    for P, eps in cases:
+        got = _outcome(construct_box_triple_2d, P, eps)
+        assert got == _outcome(slow_box_triple_2d, P, eps), (P, eps)
+        if isinstance(got[0], WeightedNet):
+            seen.add("mirrored" if "mirrored x" in got[1].notes else "plain")
+        else:
+            seen.add(got[1][-6:])
+    assert seen == {"mirrored", "plain", "axis x", "axis y"}
 
 
 # ---------------------------------------------------------------------------
