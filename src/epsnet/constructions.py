@@ -511,8 +511,8 @@ def _box_triple_slabs(xrank, yrank, t1, t2, t3):
             col = M[xj + 1] - M[xi]
             if col[n] < t1:
                 continue  # whole x-slab too thin
-            cnt = box_counts(col)  # the box [0, n-1] reaches t1
-            rel = cnt >= t1
+            cnt = box_counts(col)
+            rel = cnt >= t1  # never empty: it holds the box [0, n-1]
             na = box_counts(np.maximum(col - col[above], 0))
             nb = box_counts(np.minimum(col, col[half]))
             nl = box_counts(M[min(xj + 1, half)] - M[min(xi, half)])
