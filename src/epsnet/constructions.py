@@ -23,10 +23,11 @@ constructors re-verify their output before returning it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
 from math import comb
+from typing import Optional
 
 import numpy as np
 
@@ -47,7 +48,7 @@ from .geometry import (
     polytopes_intersect,
 )
 from .ranges import EpsilonProfile, WeightedNet, _axis_orders
-from .verification import verify_weighted_net_boxes
+from .verification import VerificationReport, verify_weighted_net_boxes
 
 HALF = Fraction(1, 2)
 
@@ -66,6 +67,9 @@ class ConstructionTrace:
     class_sizes: tuple[tuple[str, int], ...] = ()
     witnesses: tuple[tuple[str, Point], ...] = ()
     notes: tuple[str, ...] = ()
+    # the box constructors' self-check of the net; its wall-clock time
+    # differs between runs, so it takes no part in comparing traces
+    verification: Optional[VerificationReport] = field(default=None, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +475,7 @@ def construct_box_pair_highd(
         class_sizes=tuple((name, len(members)) for name, members in slabs),
         witnesses=(("p1", p1), ("p2", p2)),
         notes=tuple(notes),
+        verification=report,
     )
     if not report.passed:
         raise ConstructionFailureError(
@@ -643,6 +648,7 @@ def construct_box_triple_2d(
         class_sizes=(),
         witnesses=(("p1", p1), ("p2", p2), ("p3", p3)),
         notes=(("mirrored x",) if mirror else ()),
+        verification=report,
     )
     if not report.passed:
         raise ConstructionFailureError(

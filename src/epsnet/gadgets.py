@@ -3,7 +3,11 @@
 Each gadget packages a concrete point set, a dictionary of named convex
 witnesses, and a list of claims about them.  ``certify`` replays every
 claim through one exact decision procedure per claim kind, so a passing
-report is a full recomputation rather than a transcript.
+report is a full recomputation rather than a transcript.  Count and
+membership claims, the oracle sample and the five-cluster lens hulls run
+on integers: the point set's ``integer_coords``, each probe over one
+common denominator, each halfspace scaled to integers once.  Only the
+intersection, side and piercing claims solve the exact rational LP.
 
 The gadgets mark the profile corners that no two-point weighted net can
 beat.  Counting claims pin each witness cardinality exactly at its
@@ -37,7 +41,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from random import Random
-from typing import Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .geometry import (
     ConvexBody,
@@ -157,10 +161,38 @@ def _fmt(q: Point) -> str:
     return "(" + ", ".join(str(c) for c in q) + ")"
 
 
-def _holds(body: ConvexBody, q: Point) -> bool:
-    if isinstance(body, SubsetHull):
-        return hull_holds(body.base, q)(sum(1 << i for i in body.indices))
-    return body.contains(q)
+def _polytope_test(body: HPolytope) -> Callable[[Sequence[int], int], bool]:
+    """A test ``inside(X, s)``: does the body hold the point X / s, for an
+    integer vector X and an integer s > 0?
+
+    Each halfspace a.x <= b is scaled once by the lcm L of its denominators
+    to the integers A = L a and B = L b; then a.(X / s) <= b iff
+    A.X <= B s, with < for an open halfspace.
+    """
+    rows = []
+    for h in body.halfspaces:
+        big = lcm(h.offset.denominator, *(c.denominator for c in h.normal))
+        rows.append((
+            tuple([c.numerator * (big // c.denominator) for c in h.normal]),
+            h.offset.numerator * (big // h.offset.denominator),
+            h.closed,
+        ))
+
+    def inside(X: Sequence[int], s: int) -> bool:
+        for A, B, closed in rows:
+            v = sum(map(mul, A, X))
+            w = B * s
+            if v > w or (v == w and not closed):
+                return False
+        return True
+
+    return inside
+
+
+def _hull_test(body: SubsetHull) -> Callable[[Point], bool]:
+    """Subset-hull membership through the avoidance oracle's masks."""
+    mask = sum(1 << i for i in body.indices)
+    return lambda q: hull_holds(body.base, q)(mask)
 
 
 def _bodies(instance: GadgetInstance, claim: CertifiedClaim) -> list[ConvexBody]:
@@ -207,9 +239,13 @@ def _check_strict_side(instance, claim) -> ClaimResult:
 def _check_membership(instance, claim) -> ClaimResult:
     (name,) = claim.witnesses
     body = instance.witnesses[name]
+    if isinstance(body, SubsetHull):
+        holds = _hull_test(body)
+    else:
+        inside = _polytope_test(body)
+        holds = lambda q: inside(*_integer_probe(q))
     for q in claim.probes:
-        got = _holds(body, q)
-        if got != claim.contains:
+        if holds(q) != claim.contains:
             verb = "missing" if claim.contains else "containing"
             return ClaimResult(claim, False, f"{name} {verb} {_fmt(q)}")
     verb = "contains" if claim.contains else "avoids"
@@ -221,7 +257,18 @@ def _check_membership(instance, claim) -> ClaimResult:
 def _check_count(instance, claim) -> ClaimResult:
     (name,) = claim.witnesses
     body = instance.witnesses[name]
-    count = sum(_holds(body, p) for p in instance.pointset)
+    P = instance.pointset
+    if isinstance(body, SubsetHull):
+        # a point of the subset lies in its hull; only the others are tested
+        members = set(body.indices) if body.base == P else set()
+        holds = _hull_test(body)
+        count = len(members) + sum(
+            holds(p) for i, p in enumerate(P) if i not in members
+        )
+    else:
+        scale, ipts = integer_coords(P)
+        inside = _polytope_test(body)
+        count = sum(inside(X, scale) for X in ipts)
     if count == claim.expected:
         return ClaimResult(claim, True, f"{name} holds exactly {count} points")
     return ClaimResult(
@@ -311,18 +358,26 @@ def _outside(
 
 
 class _Probe:
-    """One probe of an oracle threshold claim: its integer form and what is
-    known of it against the witness hulls, as two bitmasks over hull
-    numbers (``out``: strictly outside; ``tried``: tested, not outside)."""
+    """One probe of an oracle threshold claim: its integer form, its point
+    (built from the form when first asked for), and what is known of it
+    against the witness hulls, as two bitmasks over hull numbers
+    (``out``: strictly outside; ``tried``: tested, not outside)."""
 
-    __slots__ = ("form", "beyond", "out", "tried")
+    __slots__ = ("form", "q", "beyond", "out", "tried")
 
-    def __init__(self, q: Point, facets) -> None:
-        self.form = _integer_probe(q)
+    def __init__(self, form, facets, q: Optional[Point] = None) -> None:
+        self.form = form
+        self.q = q
         # strictly outside conv(P), hence outside every witness hull
-        self.beyond = _outside(facets, self.form)
+        self.beyond = _outside(facets, form)
         self.out = -1 if self.beyond else 0
         self.tried = 0
+
+    @property
+    def point(self) -> Point:
+        if self.q is None:
+            self.q = _rational(self.form)
+        return self.q
 
     def outside(self, h: int, hull) -> bool:
         """Whether the probe lies strictly outside witness hull h, which is
@@ -368,31 +423,26 @@ def _check_oracle_threshold(instance, claim) -> ClaimResult:
     about the same probes as before, so the first failing pair, its size
     and the verdict are those of querying the oracle on every pair, and no
     probe's masks are built that were not built before.  Each probe is
-    made integer once and tested against each hull at most once.
+    tested against each hull at most once, on its integer form; a lattice
+    probe becomes a rational point only for an oracle query or a failure
+    message.
     """
     P, t = instance.pointset, claim.threshold
-    pairs = threshold_probe_pairs(instance, claim.trials, claim.seed)
     facets = _hull_facets(P)
     hulls: list = []  # the facets of witness hull h
     learned = set()  # the index tuples behind them
-    # one state per probe object: the structured pairs share theirs
-    probes: dict[int, _Probe] = {}
-
-    def state(q: Point) -> _Probe:
-        s = probes.get(id(q))
-        if s is None:
-            s = probes[id(q)] = _Probe(q, facets)
-        return s
-
-    for p1, p2 in pairs:
-        a, b = state(p1), state(p2)
-        kept = [q for q, s in ((p1, a), (p2, b)) if not s.beyond]
+    pairs = 0
+    for a, b in _probe_pairs(instance, claim.trials, claim.seed, facets):
+        pairs += 1
+        kept = [s for s in (a, b) if not s.beyond]
         if not kept:
             size = P.n
         elif _shared_hull(a, b, hulls):
             continue
         else:
-            size, idx = max_subset_avoiding_witness(P, kept, stop_at=t)
+            size, idx = max_subset_avoiding_witness(
+                P, [s.point for s in kept], stop_at=t
+            )
             if size >= t and idx[:t] not in learned:
                 learned.add(idx[:t])
                 hulls.append(_hull_facets(P, idx[:t]))
@@ -400,9 +450,26 @@ def _check_oracle_threshold(instance, claim) -> ClaimResult:
             return ClaimResult(
                 claim,
                 False,
-                f"only {size} avoid {_fmt(p1)} and {_fmt(p2)} (needed {t})",
+                f"only {size} avoid {_fmt(a.point)} and {_fmt(b.point)}"
+                f" (needed {t})",
             )
-    return ClaimResult(claim, True, f"threshold {t} met on {len(pairs)} pairs")
+    return ClaimResult(claim, True, f"threshold {t} met on {pairs} pairs")
+
+
+def _probe_pairs(
+    instance: GadgetInstance, trials: int, seed: int, facets
+) -> Iterator[tuple[_Probe, _Probe]]:
+    """The pairs of :func:`threshold_probe_pairs` as probes, in the same
+    order.  Each structured probe is one object, shared by all its pairs;
+    each lattice probe is drawn in integer form."""
+    structured = [
+        _Probe(_integer_probe(q), facets, q) for q in _structured_probes(instance)
+    ]
+    pairs = list(itertools.combinations_with_replacement(structured, 2))
+    yield from pairs
+    draw = _lattice(instance.pointset, seed)
+    for _ in range(trials - len(pairs)):
+        yield _Probe(draw(), facets), _Probe(draw(), facets)
 
 
 _CHECKERS = {
@@ -439,6 +506,18 @@ def threshold_probe_pairs(
     ``trials``.  A longer sample extends a shorter one with the same seed,
     so a violation found once cannot disappear under a bigger budget.
     """
+    pairs = list(
+        itertools.combinations_with_replacement(_structured_probes(instance), 2)
+    )
+    draw = _lattice(instance.pointset, seed)
+    while len(pairs) < trials:
+        pairs.append((_rational(draw()), _rational(draw())))
+    return pairs
+
+
+def _structured_probes(instance: GadgetInstance) -> list[Point]:
+    """The points, their pairwise midpoints and the centroids of the hull
+    witnesses, each distinct point once, in that order."""
     structured: list[Point] = []
     seen = set()
 
@@ -454,42 +533,63 @@ def threshold_probe_pairs(
     for body in instance.witnesses.values():
         if isinstance(body, SubsetHull):
             add(centroid(body.points))
-    pairs = list(itertools.combinations_with_replacement(structured, 2))
-    rnd = Random(seed)
-    # coordinate lo + (hi - lo) * r / _PROBE_GRID, as one integer fraction
-    # (lo * G + (hi - lo) * r) / G with G = scale * _PROBE_GRID
-    axes = []
-    for lo, hi in instance.pointset.bounding_box():
-        scale = lcm(lo.denominator, hi.denominator)
-        ilo = lo.numerator * (scale // lo.denominator)
-        ihi = hi.numerator * (scale // hi.denominator)
-        axes.append((ilo * _PROBE_GRID, ihi - ilo, scale * _PROBE_GRID))
+    return structured
 
-    def lattice_point() -> Point:
-        return tuple(
-            Fraction(base + span * rnd.randrange(_PROBE_GRID + 1), grid)
-            for base, span, grid in axes
-        )
 
-    while len(pairs) < trials:
-        pairs.append((lattice_point(), lattice_point()))
-    return pairs
+def _lattice(P: PointSet, seed: int) -> Callable[[], tuple[tuple[int, ...], int]]:
+    """A draw of random lattice probes in integer form ``(X, den)``.
+
+    Coordinate a is lo + (hi - lo) * r / G over P's bounding box, with one
+    ``randrange(G + 1)`` per axis in axis order and G = ``_PROBE_GRID``.
+    On P's integer coordinates (scale s) that is (lo' G + (hi' - lo') r) /
+    (s G) for the scaled bounds lo' and hi', one denominator for all axes.
+    """
+    s, ipts = integer_coords(P)
+    axes = [
+        (min(col) * _PROBE_GRID, max(col) - min(col)) for col in zip(*ipts)
+    ]
+    den = s * _PROBE_GRID
+    randrange = Random(seed).randrange
+
+    def draw() -> tuple[tuple[int, ...], int]:
+        return tuple([
+            base + span * randrange(_PROBE_GRID + 1) for base, span in axes
+        ]), den
+
+    return draw
+
+
+def _rational(form: tuple[Sequence[int], int]) -> Point:
+    """The point X / den of an integer form ``(X, den)``."""
+    X, den = form
+    return tuple([Fraction(x, den) for x in X])
 
 
 # ---------------------------------------------------------------------------
 # shared construction helpers
 
 
-def _hull_halfspaces(points: Sequence[Point]) -> tuple[Halfspace, ...]:
-    """Facet halfspaces of a full-dimensional planar hull."""
-    hull = hull2d(sorted(set(points)))
-    if len(hull) < 3:
+def _hull_halfspaces(hull: SubsetHull) -> tuple[Halfspace, ...]:
+    """Facet halfspaces of a full-dimensional planar subset hull, one per
+    counterclockwise edge.
+
+    The hull is built on the base set's ``integer_coords``, the points
+    times one common denominator s > 0, which keeps their order and every
+    orientation.  An edge a -> b there has the integer normal
+    N = (b_y - a_y, a_x - b_x) and offset O = N.a, which are s and s^2
+    times those of the rational edge, so each halfspace is N / s, O / s^2.
+    """
+    s, ipts = integer_coords(hull.base)
+    ring = hull2d(sorted({ipts[i] for i in hull.indices}))
+    if len(ring) < 3:
         raise ValueError("hull is not full-dimensional")
     out = []
-    for i, a in enumerate(hull):
-        b = hull[(i + 1) % len(hull)]
-        normal = (b[1] - a[1], a[0] - b[0])
-        out.append(Halfspace(normal, normal[0] * a[0] + normal[1] * a[1]))
+    for i, (ax, ay) in enumerate(ring):
+        bx, by = ring[(i + 1) % len(ring)]
+        nx, ny = by - ay, ax - bx
+        out.append(Halfspace(
+            (Fraction(nx, s), Fraction(ny, s)), Fraction(nx * ax + ny * ay, s * s)
+        ))
     return tuple(out)
 
 
@@ -573,7 +673,7 @@ def gadget_five_clusters(k: int, delta=Fraction(1, 2)) -> GadgetInstance:
         three = SubsetHull(P, tuple(three_idx))
         lens = HPolytope(
             2,
-            _hull_halfspaces(four.points) + _hull_halfspaces(three.points),
+            _hull_halfspaces(four) + _hull_halfspaces(three),
         )
         witnesses[f"four_of_five_{a}"] = four
         witnesses[f"three_of_five_{a}"] = three

@@ -8,7 +8,8 @@ general-position check, the planar convex-pair construction with its
 Fraction polygon clipping, the 3D avoidance oracle, the Fraction simplex
 tableau, the Fraction box region filter, the closure mask descent, the
 search over points, the Fraction arrangement vertices, the Fraction probe
-lattice, the oracle-threshold check that queries every pair, the
+lattice, the oracle-threshold check that queries every pair, the Fraction
+lens hulls and per-point count and membership claims, the
 verifiers' per-kind level loops, the Fraction box pair, triple and median
 point, and the Fraction SVG coordinate map),
 which differential tests hold the library's kernels to, output for output.
@@ -35,6 +36,7 @@ from epsnet.errors import (
 )
 from epsnet.gadgets import _PROBE_GRID, ClaimResult, _fmt
 from epsnet.geometry import (
+    Halfspace,
     Hyperplane,
     PointSet,
     SubsetHull,
@@ -54,6 +56,7 @@ from epsnet.ranges import (
     RangeSpaceKind,
     WeightedNet,
     _candidate_masks,
+    hull_holds,
     max_subset_avoiding,
 )
 from epsnet.svg import _PALETTE as SVG_PALETTE, _SIZE as SVG_SIZE
@@ -940,6 +943,55 @@ def slow_check_oracle_threshold(instance, claim):
             )
     return ClaimResult(
         claim, True, f"threshold {claim.threshold} met on {len(pairs)} pairs"
+    )
+
+
+def slow_hull_halfspaces(points):
+    """``gadgets._hull_halfspaces`` on the rational points themselves: the
+    hull and each edge's normal and offset in Fraction arithmetic."""
+    hull = hull2d(sorted(set(points)))
+    if len(hull) < 3:
+        raise ValueError("hull is not full-dimensional")
+    out = []
+    for i, a in enumerate(hull):
+        b = hull[(i + 1) % len(hull)]
+        normal = (b[1] - a[1], a[0] - b[0])
+        out.append(Halfspace(normal, normal[0] * a[0] + normal[1] * a[1]))
+    return tuple(out)
+
+
+def _slow_holds(body, q):
+    if isinstance(body, SubsetHull):
+        return hull_holds(body.base, q)(sum(1 << i for i in body.indices))
+    return body.contains(q)
+
+
+def slow_check_count(instance, claim):
+    """``gadgets._check_count`` testing every point with ``_slow_holds``:
+    Fraction ``Halfspace.contains`` for polytopes, the oracle masks for
+    subset hulls."""
+    (name,) = claim.witnesses
+    body = instance.witnesses[name]
+    count = sum(_slow_holds(body, p) for p in instance.pointset)
+    if count == claim.expected:
+        return ClaimResult(claim, True, f"{name} holds exactly {count} points")
+    return ClaimResult(
+        claim, False, f"{name} holds {count} points, expected {claim.expected}"
+    )
+
+
+def slow_check_membership(instance, claim):
+    """``gadgets._check_membership`` testing each probe with
+    ``_slow_holds``."""
+    (name,) = claim.witnesses
+    body = instance.witnesses[name]
+    for q in claim.probes:
+        if _slow_holds(body, q) != claim.contains:
+            verb = "missing" if claim.contains else "containing"
+            return ClaimResult(claim, False, f"{name} {verb} {_fmt(q)}")
+    verb = "contains" if claim.contains else "avoids"
+    return ClaimResult(
+        claim, True, f"{name} {verb} all {len(claim.probes)} probes"
     )
 
 

@@ -27,6 +27,7 @@ from epsnet.io_formats import (
     json_to_fraction,
     read_pointset,
     validate_report,
+    verification_to_json,
     write_pointset,
 )
 from epsnet.ranges import EpsilonProfile, RangeSpaceKind, WeightedNet
@@ -181,6 +182,59 @@ def test_construct_rejects_profile_length_mismatch(workspace, capsys):
     )
     assert code == 2
     assert "epsilon values" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_construct_box_triple_names_options_and_dimension(workspace, capsys, d):
+    rng = random.Random(d)
+    pts = [[rng.randint(-99, 99) for _ in range(d)] for _ in range(12)]
+    (workspace / "pts.json").write_text(json.dumps({"dim": d, "points": pts}))
+    code, out = run(
+        capsys,
+        "construct", "--ranges", "boxes", "--size", "3",
+        "--eps", "3/8,1/2,5/8", "--input", "pts.json",
+    )
+    assert code == 2
+    assert json.loads(out)["error"] == (
+        f"--ranges boxes --size 3 needs planar input (d = 2), got d = {d}"
+    )
+
+
+@pytest.mark.parametrize("size, eps", [(2, "3/7,4/7"), (3, "3/8,1/2,5/8")])
+def test_construct_verify_runs_the_box_verifier_once(
+    workspace, capsys, monkeypatch, size, eps
+):
+    """The constructor's self-check is the report's verification section:
+    the box verifier runs once, and the section is that of verifying the
+    constructed net afresh."""
+    import epsnet.constructions
+    import epsnet.verification
+
+    calls = []
+    verify = epsnet.verification.verify_weighted_net_boxes
+
+    def counted(*args):
+        calls.append(args)
+        return verify(*args)
+
+    monkeypatch.setattr(epsnet.constructions, "verify_weighted_net_boxes", counted)
+    monkeypatch.setattr(epsnet.verification, "verify_weighted_net_boxes", counted)
+    code, out = run(
+        capsys,
+        "construct", "--ranges", "boxes", "--size", str(size),
+        "--eps", eps, "--input", "points14.json", "--verify",
+    )
+    assert code == 0
+    assert len(calls) == 1
+    doc = json.loads(out)
+    P = read_pointset("points14.json")
+    points = doc["construction"]["net"]["points"]
+    net = WeightedNet(
+        tuple(tuple(map(json_to_fraction, q)) for q in points),
+        EpsilonProfile(tuple(F(e) for e in eps.split(","))),
+    )
+    want = verification_to_json(verify(P, net))
+    assert doc["verification"] == json.loads(json.dumps(want))
 
 
 def test_verify_budget_exceeded(workspace, capsys):

@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction as F
+from operator import mul
 
 import pytest
 
@@ -13,6 +14,7 @@ from epsnet.gadgets import (
     ClaimKind,
     GadgetInstance,
     _hull_facets,
+    _hull_halfspaces,
     _integer_probe,
     _outside,
     certify,
@@ -23,6 +25,8 @@ from epsnet.gadgets import (
     threshold_probe_pairs,
 )
 from epsnet.geometry import (
+    Halfspace,
+    HPolytope,
     Hyperplane,
     PointSet,
     SubsetHull,
@@ -296,7 +300,14 @@ def test_first_failing_pair_with_an_outside_probe(monkeypatch):
 
     outside, centre = (F(3), F(1)), (F(1), F(1))
     pairs = [((F(0), F(0)), (F(2), F(2))), (outside, centre), (centre, outside)]
-    monkeypatch.setattr(gadgets, "threshold_probe_pairs", lambda *args: pairs)
+
+    def probe_pairs(instance, trials, seed, facets):
+        probes = {
+            q: gadgets._Probe(_integer_probe(q), facets, q) for pair in pairs for q in pair
+        }
+        return [(probes[a], probes[b]) for a, b in pairs]
+
+    monkeypatch.setattr(gadgets, "_probe_pairs", probe_pairs)
     monkeypatch.setattr(helpers, "slow_threshold_probe_pairs", lambda *args: pairs)
     inst = mini_instance()
     assert _outside(_hull_facets(inst.pointset), _integer_probe(outside))
@@ -487,6 +498,144 @@ def test_probe_pairs_match_fraction_lattice(name):
         got = threshold_probe_pairs(inst, trials, seed)
         assert len(got) == trials
         assert got == slow_threshold_probe_pairs(inst, trials, seed)
+
+
+# --- integer claim checks against the Fraction references -------------------
+
+
+def mixed_denominator_points(rng, dim, n):
+    """n points on unequal denominators, some repeated, some collinear
+    with two earlier ones (on a hull edge or beyond it)."""
+    pts = []
+    for _ in range(n):
+        roll = rng.random()
+        if pts and roll < 0.15:
+            pts.append(rng.choice(pts))
+        elif len(pts) >= 2 and roll < 0.35:
+            a, b = rng.sample(pts, 2)
+            lam = F(rng.randint(-2, 6), 4)
+            pts.append(tuple(x + lam * (y - x) for x, y in zip(a, b)))
+        else:
+            pts.append(tuple(
+                F(rng.randint(-30, 30), rng.choice((1, 2, 3, 5, 7, 12)))
+                for _ in range(dim)
+            ))
+    return pts
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_hull_halfspaces_match_fraction_reference(seed):
+    """The integer lens hulls give the Fraction halfspaces, in order, or the
+    same refusal: mixed denominators, repeated points, points on a hull
+    edge, collinear and single-point subsets."""
+    rng = random.Random(f"lens-hulls:{seed}")
+    flat = full = 0
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        P = PointSet(2, tuple(mixed_denominator_points(rng, 2, n)))
+        idx = tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
+        hull = SubsetHull(P, idx)
+        try:
+            want = helpers.slow_hull_halfspaces(hull.points)
+        except ValueError as exc:
+            flat += 1
+            with pytest.raises(ValueError, match=str(exc)):
+                _hull_halfspaces(hull)
+            continue
+        full += 1
+        assert _hull_halfspaces(hull) == want, (P.points, idx)
+    assert flat and full
+    for k in (1, 2, 3):
+        inst = gadget_five_clusters(k)
+        for a in range(5):
+            got = inst.witnesses[f"lens_{a}"].halfspaces
+            want = sum(
+                (
+                    helpers.slow_hull_halfspaces(inst.witnesses[name].points)
+                    for name in (f"four_of_five_{a}", f"three_of_five_{a}")
+                ),
+                (),
+            )
+            assert got == want
+
+
+def random_halfspace(rng, P):
+    """A halfspace over mixed denominators, open or closed; its boundary
+    passes through a point of P half the time."""
+    while True:
+        normal = tuple(
+            F(rng.randint(-5, 5), rng.choice((1, 2, 3, 4))) for _ in range(P.dim)
+        )
+        if any(normal):
+            break
+    if rng.random() < 0.5:
+        p = rng.choice(P.points)
+        offset = sum(a * x for a, x in zip(normal, p))
+    else:
+        offset = F(rng.randint(-40, 40), rng.choice((1, 3, 5)))
+    return Halfspace(normal, offset, closed=rng.random() < 0.6)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_count_and_membership_claims_match_fraction_reference(dim):
+    """Count and membership claims on integer coordinates against testing
+    each point with ``Halfspace.contains`` or the oracle masks: polytopes of
+    open and closed halfspaces over mixed denominators, points and probes
+    on their boundaries, repeated points, and subset hulls."""
+    rng = random.Random(f"count-membership:{dim}")
+    outcomes = Counter()
+    boundary = {True: 0, False: 0}
+    for _ in range(40):
+        n = rng.randint(1, 9)
+        P = PointSet(dim, tuple(mixed_denominator_points(rng, dim, n)))
+        witnesses = {}
+        for i in range(3):
+            hs = tuple(random_halfspace(rng, P) for _ in range(rng.randint(1, 4)))
+            witnesses[f"poly_{i}"] = HPolytope(dim, hs)
+            for h in hs:
+                boundary[h.closed] += any(
+                    sum(map(mul, h.normal, p)) == h.offset for p in P.points
+                )
+        for i in range(2):
+            idx = tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
+            witnesses[f"hull_{i}"] = SubsetHull(P, idx)
+        inst = GadgetInstance("differential", P, {}, witnesses, ())
+        for name in witnesses:
+            claims = [
+                CertifiedClaim(ClaimKind.COUNT, "count", (name,), expected=e)
+                for e in rng.sample(range(n + 1), min(3, n + 1))
+            ]
+            probes = [rng.choice(P.points) for _ in range(2)] + [
+                tuple(F(rng.randint(-30, 30), rng.choice((1, 2, 6))) for _ in range(dim))
+                for _ in range(2)
+            ]
+            rng.shuffle(probes)
+            claims += [
+                CertifiedClaim(
+                    ClaimKind.MEMBERSHIP,
+                    "membership",
+                    (name,),
+                    probes=probes[: rng.randint(1, 4)],
+                    contains=contains,
+                )
+                for contains in (True, False)
+            ]
+            for claim in claims:
+                got = check_claim(inst, claim)
+                slow = (
+                    helpers.slow_check_count
+                    if claim.kind is ClaimKind.COUNT
+                    else helpers.slow_check_membership
+                )
+                want = slow(inst, claim)
+                assert (got.passed, got.detail) == (want.passed, want.detail), (
+                    P.points,
+                    name,
+                    claim,
+                )
+                outcomes[claim.kind, got.passed] += 1
+    assert len(outcomes) == 4, outcomes
+    assert boundary[True] and boundary[False], boundary
 
 
 # --- five clusters -----------------------------------------------------------
