@@ -5,8 +5,6 @@ nets over convex ranges and axis-parallel boxes.  All geometric predicates
 are evaluated in exact rational arithmetic.
 """
 
-from importlib.metadata import PackageNotFoundError, version
-
 from .errors import (
     BudgetExceededError,
     ConditionError,
@@ -55,10 +53,8 @@ from .gadgets import (
     gadget_simplex,
 )
 
-try:
-    __version__ = version("epsnet")
-except PackageNotFoundError:  # pragma: no cover - running from a checkout
-    __version__ = "0.0.0"
+# the one place the version is written; pyproject.toml reads it from here
+__version__ = "0.1.0"
 
 __all__ = [
     "BoxRange",

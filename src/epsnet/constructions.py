@@ -14,7 +14,12 @@ statistic or family bound a rank, and only the net points and the cut
 hyperplanes are read back as Fractions from the sorted coordinates.  The
 three-point construction enumerates every canonical box on the rank grid
 one x-slab at a time (``_box_triple_slabs``, the module's only numpy code)
-and intersects the two assigned families directly.  Constructions
+and intersects the two assigned families directly.  Each slab's int32
+count matrices are cropped to its t1 window: a box starting above the
+slab's t1-th highest y rank, or ending below its t1-th lowest, holds
+fewer than t1 points, and every family member holds at least t1 (level-3
+members at least t3 >= t1), so the crop drops no member and changes no
+yield.  Constructions
 whose count structure cannot meet the requirements raise
 ConstructionFailureError rather than returning an unverified net; the box
 constructors re-verify their output before returning it.
@@ -23,6 +28,7 @@ constructors re-verify their output before returning it.
 from __future__ import annotations
 
 import itertools
+from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
@@ -496,26 +502,43 @@ def _box_triple_slabs(xrank, yrank, t1, t2, t3):
     member (yi, yj): the first in row-major order, the first in the highest
     member row and the first member of the lowest member column.
 
-    This is the construction's only numpy code: one (n+1) x (n+1) prefix
-    count grid, and per slab a matrix of box counts per region.
+    The ranks are a permutation, so the slab [xi, xj] holds xj - xi + 1
+    points, and exactly the slabs with xj >= xi + t1 - 1 are scanned.  Each
+    slab's matrices are cropped to its t1 window: with the slab's y ranks
+    sorted, r is the t1-th largest and c the t1-th smallest.  A box with
+    yi > r or yj < c holds fewer than t1 points, and every member holds at
+    least t1 (a relevant box by its count, a level-3 box because
+    t3 >= t1), so every member lies in rows 0..r and columns c..n-1.  The
+    first, top and bottom members are first or last positions of the
+    member mask, and cropping removes no member, so they are unchanged;
+    a column index read off a window matrix is offset by c.
+
+    This is the construction's only numpy code: one (n+1) x (n+1) int32
+    prefix count grid, and per slab int32 matrices of box counts per
+    region on the rows and columns of its window.
     """
     n = len(xrank)
     half, above = n // 2, (n + 1) // 2
     grid = np.zeros((n + 1, n + 1), dtype=np.int32)
     grid[np.array(xrank) + 1, np.array(yrank) + 1] = 1
-    M = grid.cumsum(axis=0).cumsum(axis=1)
+    M = grid.cumsum(axis=0, dtype=np.int32).cumsum(axis=1, dtype=np.int32)
     ys = np.arange(n)
     clear_y = ~((ys[:, None] < above) & (ys[None, :] >= half))  # misses the y cut
+    y_at = [0] * n  # the y rank of the point with x rank i
+    for x, y in zip(xrank, yrank):
+        y_at[x] = y
 
     def box_counts(col):
-        # col[j] counts the slab's points with y rank below j
-        return col[1:] - col[:-1, None]
+        # col[j] counts the slab's points with y rank below j; the box
+        # [yi, yj] of the window sits at [yi, yj - c]
+        return col[c + 1:] - col[:r + 1, None]
 
-    for xi in range(n):
-        for xj in range(xi, n):
+    for xi in range(n - t1 + 1):
+        slab_ys = sorted(y_at[xi:xi + t1 - 1])
+        for xj in range(xi + t1 - 1, n):
+            insort(slab_ys, y_at[xj])
+            r, c = slab_ys[-t1], slab_ys[t1 - 1]
             col = M[xj + 1] - M[xi]
-            if col[n] < t1:
-                continue  # whole x-slab too thin
             cnt = box_counts(col)
             rel = cnt >= t1  # never empty: it holds the box [0, n-1]
             na = box_counts(np.maximum(col - col[above], 0))
@@ -529,7 +552,7 @@ def _box_triple_slabs(xrank, yrank, t1, t2, t3):
             )
             if xi < above and xj >= half:
                 # a box around p1 must meet the level-2 threshold
-                rel &= clear_y | (cnt >= t2)
+                rel &= clear_y[:r + 1, c:] | (cnt >= t2)
             big3 = cnt >= t3
             found = []
             for mem in (rel & side_a | big3, rel & ~side_a | big3):
@@ -538,12 +561,12 @@ def _box_triple_slabs(xrank, yrank, t1, t2, t3):
                 if not rows[r0]:
                     found.append(None)
                     continue
-                top = n - 1 - int(rows[::-1].argmax())
+                top = r - int(rows[::-1].argmax())
                 bottom = int(mem.any(axis=0).argmax())
                 found.append((
-                    (r0, int(mem[r0].argmax())),
-                    (top, int(mem[top].argmax())),
-                    (int(mem[:, bottom].argmax()), bottom),
+                    (r0, c + int(mem[r0].argmax())),
+                    (top, c + int(mem[top].argmax())),
+                    (int(mem[:, bottom].argmax()), c + bottom),
                 ))
             yield xi, xj, found
 

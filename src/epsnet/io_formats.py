@@ -8,12 +8,23 @@ trailing newline) and atomic (temp file plus rename).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
 from fractions import Fraction
 from typing import Any, Mapping, Optional, Sequence, Union
+
+# CPython's own SHA-256, as the random module takes its _sha512: hashlib's
+# OpenSSL digest gives the same bytes, but importing it initialises OpenSSL
+# (about 0.5 MB) and its first digest faults in about 1 MB of libcrypto in
+# every CLI process
+try:
+    from _sha2 import sha256  # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.11 and earlier
+    except ImportError:
+        from hashlib import sha256
 
 from .gadgets import CertificationReport, CertifiedClaim, GadgetInstance
 from .geometry import HPolytope, Point, PointSet, SubsetHull
@@ -110,7 +121,7 @@ def write_pointset(
 def pointset_digest(P: PointSet) -> str:
     """Content digest of the exact coordinates, independent of the file."""
     canonical = dumps_json({"dim": P.dim, "points": [point_to_json(p) for p in P.points]})
-    return "sha256:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return "sha256:" + sha256(canonical.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -1476,6 +1476,69 @@ def slow_box_triple_2d(P, eps):
     return net, trace
 
 
+def slow_box_triple_slabs(xrank, yrank, t1, t2, t3):
+    """``constructions._box_triple_slabs`` on full n x n matrices: every
+    x-slab holding t1 points gets its whole grid of box counts, with no
+    crop to the rows and columns that can hold a member.  The reference the
+    cropped scan must match yield for yield.
+
+    A box is [xi, xj] x [yi, yj] in ranks.  Ranks below n // 2 lie strictly
+    below a halving cut and ranks from (n + 1) // 2 strictly above it.
+    Yields ``(xi, xj, [a, b])`` for each x-slab that holds a box over
+    the level-1 threshold, xi ascending, then xj.  a and b are the slab's
+    members of families A and B: None, or ``(first, top, bottom)``, each a
+    member (yi, yj): the first in row-major order, the first in the highest
+    member row and the first member of the lowest member column.
+    """
+    n = len(xrank)
+    half, above = n // 2, (n + 1) // 2
+    grid = np.zeros((n + 1, n + 1), dtype=np.int32)
+    grid[np.array(xrank) + 1, np.array(yrank) + 1] = 1
+    M = grid.cumsum(axis=0).cumsum(axis=1)
+    ys = np.arange(n)
+    clear_y = ~((ys[:, None] < above) & (ys[None, :] >= half))  # misses the y cut
+
+    def box_counts(col):
+        # col[j] counts the slab's points with y rank below j
+        return col[1:] - col[:-1, None]
+
+    for xi in range(n):
+        for xj in range(xi, n):
+            col = M[xj + 1] - M[xi]
+            if col[n] < t1:
+                continue  # whole x-slab too thin
+            cnt = box_counts(col)
+            rel = cnt >= t1  # never empty: it holds the box [0, n-1]
+            na = box_counts(np.maximum(col - col[above], 0))
+            nb = box_counts(np.minimum(col, col[half]))
+            nl = box_counts(M[min(xj + 1, half)] - M[min(xi, half)])
+            nr = box_counts(M[xj + 1] - M[min(max(xi, above), xj + 1)])
+            # each box goes to the region holding most of its points, ties
+            # resolved above, below, left, right; A takes above and left
+            side_a = (na >= np.maximum(np.maximum(nb, nl), nr)) | (
+                (nl > nb) & (nl >= nr)
+            )
+            if xi < above and xj >= half:
+                # a box around p1 must meet the level-2 threshold
+                rel &= clear_y | (cnt >= t2)
+            big3 = cnt >= t3
+            found = []
+            for mem in (rel & side_a | big3, rel & ~side_a | big3):
+                rows = mem.any(axis=1)
+                r0 = int(rows.argmax())
+                if not rows[r0]:
+                    found.append(None)
+                    continue
+                top = n - 1 - int(rows[::-1].argmax())
+                bottom = int(mem.any(axis=0).argmax())
+                found.append((
+                    (r0, int(mem[r0].argmax())),
+                    (top, int(mem[top].argmax())),
+                    (int(mem[:, bottom].argmax()), bottom),
+                ))
+            yield xi, xj, found
+
+
 def _slow_project(p):
     return (p[0], p[1])
 

@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 from epsnet.constructions import (
+    _box_triple_slabs,
     _convex_pair_2d,
     _left_counts,
     box_median_point,
@@ -38,6 +39,7 @@ from helpers import (
     slow_box_median_point,
     slow_box_pair_highd,
     slow_box_triple_2d,
+    slow_box_triple_slabs,
     slow_convex_pair_2d,
     slow_side_counts,
 )
@@ -465,6 +467,47 @@ def test_box_triple_needs_2d():
     P = random_pointset(rng, 16, 3)
     with pytest.raises(DegenerateInputError):
         construct_box_triple_2d(P, TRIPLE)
+
+
+def test_box_triple_slabs_match_full_grid():
+    """The slab scan cropped to each slab's t1 window against the full
+    n x n grid: the same list of yields, ``[None, None]`` slabs included,
+    on seeded rank permutations with odd and even n from 3 to 70.  The
+    cases must hold slabs where the p1 rule's t2 threshold changes a
+    member (the yields differ with t2 = t1), slabs where level-3 boxes do
+    (they differ with t3 = n + 1) and empty families.  At (1/2, 1/2, 1/2)
+    t3 = t1, so every member is a level-3 box."""
+    rng = random.Random(2311)
+    profiles = [
+        EpsilonProfile(eps)
+        for eps in (
+            TRIPLE.eps,
+            (F(3, 8), F(1, 2), F(9, 10)),
+            (F(2, 5), F(1, 2), F(3, 4)),
+            (F(1, 2), F(1, 2), F(1, 2)),
+        )
+    ]
+    seen = set()
+    for n in range(3, 71):
+        # consecutive n share a profile, so each profile meets both parities
+        eps = profiles[n // 2 % 4]
+        t1, t2, t3 = (eps.min_strict_count(i, n) for i in (1, 2, 3))
+        xrank, yrank = rng.sample(range(n), n), rng.sample(range(n), n)
+        got = list(_box_triple_slabs(xrank, yrank, t1, t2, t3))
+        assert got == list(slow_box_triple_slabs(xrank, yrank, t1, t2, t3)), (
+            n, eps, xrank, yrank,
+        )
+        if any(None in found for _, _, found in got):
+            seen.add("empty family")
+        if "t2" not in seen and got != list(
+            _box_triple_slabs(xrank, yrank, t1, t1, t3)
+        ):
+            seen.add("t2")
+        if "t3" not in seen and got != list(
+            _box_triple_slabs(xrank, yrank, t1, t2, n + 1)
+        ):
+            seen.add("t3")
+    assert seen == {"empty family", "t2", "t3"}
 
 
 # (seed, n) of random_pointset inputs whose family B fails on axis x or y
