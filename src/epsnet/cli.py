@@ -6,6 +6,14 @@ lower-bound configurations, search brute-forces the best profile over a
 candidate family.  Every run prints one JSON report to stdout; exit codes
 are a function of that report alone (0 ok, 2 bad input, 3 a verdict or
 claim failed, 4 budget exceeded).
+
+The grammar is one table, ``COMMANDS``.  A well-formed call (a subcommand,
+then its options, each once, as exact long flags with valid values, every
+required one present) is read off the table directly, without building an
+argparse parser or importing ``locale``.  Every other call, ``-h``,
+abbreviations, ``--opt=value``, repeated options and bad or missing values,
+goes to the argparse parser ``build_parser()`` makes from the same table,
+so help text, error messages and exit code 2 are argparse's own.
 """
 
 from __future__ import annotations
@@ -387,6 +395,95 @@ def cmd_search(args, argv) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+# The CLI grammar, read by both parsers below: each subcommand's handler,
+# its help, and each option's flag with its ``add_argument`` keywords.
+# ``--report`` and ``--timing`` follow every subcommand's own options.
+_COMMON_OPTIONS = (
+    ("--report", {"help": "also write the report to this file"}),
+    ("--timing", {"action": "store_true", "help": "include wall-clock timings"}),
+)
+
+COMMANDS = {
+    "construct": (
+        cmd_construct,
+        "build a net and optionally verify it",
+        (
+            ("--ranges", {"required": True, "choices": ["convex", "boxes"]}),
+            ("--size", {"required": True, "type": int, "choices": [1, 2, 3]}),
+            ("--eps", {"required": True, "help": "comma list of rationals"}),
+            ("--input", {"required": True}),
+            ("--svg", {"help": "write a figure of the input and the net"}),
+            ("--verify", {"action": "store_true"}),
+            (
+                "--budget",
+                {
+                    "type": int,
+                    "default": DEFAULT_CONVEX_BUDGET,
+                    "help": "cap on the subset hulls --verify may sweep for convex"
+                    " ranges: only for a failing level in d <= 3, for every level"
+                    " in d >= 4; boxes sweep none",
+                },
+            ),
+        ),
+    ),
+    "verify": (
+        cmd_verify,
+        "exactly verify a supplied net",
+        (
+            ("--input", {"required": True}),
+            ("--net", {"required": True, "help": "point-set file of net points"}),
+            ("--eps", {"required": True}),
+            ("--ranges", {"required": True, "choices": ["convex", "boxes"]}),
+            (
+                "--budget",
+                {
+                    "type": int,
+                    "default": DEFAULT_CONVEX_BUDGET,
+                    "help": "cap on the subset hulls convex verification may"
+                    " sweep: only for a failing level in d <= 3, for every level"
+                    " in d >= 4",
+                },
+            ),
+        ),
+    ),
+    "gadget": (
+        cmd_gadget,
+        "write and certify a gadget point set",
+        (
+            ("--name", {"required": True, "choices": sorted(_GADGET_CLI_NAMES)}),
+            ("--k", {"type": int, "help": "cluster size (five-clusters)"}),
+            ("--dim", {"type": int, "help": "dimension (simplex)"}),
+            ("--out", {"required": True, "help": "point-set file to write"}),
+            ("--certify", {"action": "store_true"}),
+            ("--svg", {"help": "write the xy-projection figure"}),
+        ),
+    ),
+    "search": (
+        cmd_search,
+        "brute-force the best profile over candidate net points",
+        (
+            ("--ranges", {"required": True, "choices": ["convex", "boxes"]}),
+            ("--size", {"required": True, "type": int, "choices": [1, 2]}),
+            ("--input", {"required": True}),
+            (
+                "--candidates",
+                {
+                    "default": "arrangement",
+                    "help": "'arrangement' or 'grid:R' (R steps per axis)",
+                },
+            ),
+            (
+                "--budget",
+                {
+                    "type": int,
+                    "default": DEFAULT_SEARCH_BUDGET,
+                    "help": "cap on the candidate nets search evaluates",
+                },
+            ),
+        ),
+    ),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -395,80 +492,64 @@ def build_parser() -> argparse.ArgumentParser:
         " and lower-bound gadgets over exact rational arithmetic",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    con = sub.add_parser("construct", help="build a net and optionally verify it")
-    con.add_argument("--ranges", required=True, choices=["convex", "boxes"])
-    con.add_argument("--size", required=True, type=int, choices=[1, 2, 3])
-    con.add_argument("--eps", required=True, help="comma list of rationals")
-    con.add_argument("--input", required=True)
-    con.add_argument("--svg", help="write a figure of the input and the net")
-    con.add_argument("--verify", action="store_true")
-    con.add_argument(
-        "--budget",
-        type=int,
-        default=DEFAULT_CONVEX_BUDGET,
-        help="cap on the subset hulls --verify may sweep for convex ranges:"
-        " only for a failing level in d <= 3, for every level in d >= 4;"
-        " boxes sweep none",
-    )
-    con.set_defaults(func=cmd_construct)
-
-    ver = sub.add_parser("verify", help="exactly verify a supplied net")
-    ver.add_argument("--input", required=True)
-    ver.add_argument("--net", required=True, help="point-set file of net points")
-    ver.add_argument("--eps", required=True)
-    ver.add_argument("--ranges", required=True, choices=["convex", "boxes"])
-    ver.add_argument(
-        "--budget",
-        type=int,
-        default=DEFAULT_CONVEX_BUDGET,
-        help="cap on the subset hulls convex verification may sweep: only"
-        " for a failing level in d <= 3, for every level in d >= 4",
-    )
-    ver.set_defaults(func=cmd_verify)
-
-    gad = sub.add_parser("gadget", help="write and certify a gadget point set")
-    gad.add_argument(
-        "--name", required=True, choices=sorted(_GADGET_CLI_NAMES)
-    )
-    gad.add_argument("--k", type=int, help="cluster size (five-clusters)")
-    gad.add_argument("--dim", type=int, help="dimension (simplex)")
-    gad.add_argument("--out", required=True, help="point-set file to write")
-    gad.add_argument("--certify", action="store_true")
-    gad.add_argument("--svg", help="write the xy-projection figure")
-    gad.set_defaults(func=cmd_gadget)
-
-    sea = sub.add_parser(
-        "search", help="brute-force the best profile over candidate net points"
-    )
-    sea.add_argument("--ranges", required=True, choices=["convex", "boxes"])
-    sea.add_argument("--size", required=True, type=int, choices=[1, 2])
-    sea.add_argument("--input", required=True)
-    sea.add_argument(
-        "--candidates",
-        default="arrangement",
-        help="'arrangement' or 'grid:R' (R steps per axis)",
-    )
-    sea.add_argument(
-        "--budget",
-        type=int,
-        default=DEFAULT_SEARCH_BUDGET,
-        help="cap on the candidate nets search evaluates",
-    )
-    sea.set_defaults(func=cmd_search)
-
-    for p in (con, ver, gad, sea):
-        p.add_argument("--report", help="also write the report to this file")
-        p.add_argument(
-            "--timing", action="store_true", help="include wall-clock timings"
-        )
+    for name, (func, help_text, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in options + _COMMON_OPTIONS:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=func)
     return parser
+
+
+def _parse_exact(argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """The namespace ``build_parser().parse_args(argv)`` returns, read off
+    ``COMMANDS`` directly when argv is a well-formed call, else None.
+
+    Well formed: a subcommand, then each of its options at most once, as
+    its exact long flag, followed by one value not starting with "-"
+    unless it is a switch; every value converts with the option's type
+    and lies in its choices; every required option is there.  Anything
+    else (help, abbreviations, ``--opt=value``, repeats, bad or missing
+    values) is left to argparse, which alone prints help and errors.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, _, options = COMMANDS[argv[0]]
+    spec = dict(options + _COMMON_OPTIONS)
+    given: dict = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        keywords = spec.get(flag)
+        if keywords is None or flag in given:
+            return None
+        if keywords.get("action") == "store_true":
+            given[flag] = True
+            continue
+        text = next(tokens, None)
+        if text is None or text.startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(text)
+        except ValueError:
+            return None
+        choices = keywords.get("choices")
+        if choices is not None and value not in choices:
+            return None
+        given[flag] = value
+    namespace = argparse.Namespace(command=argv[0], func=func)
+    for flag, keywords in spec.items():
+        if flag not in given and keywords.get("required"):
+            return None
+        switch = keywords.get("action") == "store_true"
+        default = keywords.get("default", False if switch else None)
+        setattr(namespace, flag[2:].replace("-", "_"), given.get(flag, default))
+    return namespace
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_exact(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args, argv)
     except (EpsnetError, ValueError, OSError) as exc:

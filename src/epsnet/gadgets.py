@@ -206,10 +206,25 @@ def _check_empty_intersection(instance, claim) -> ClaimResult:
     return ClaimResult(claim, False, f"common point at {_fmt(w)}")
 
 
-def _check_pairwise_disjoint(instance, claim) -> ClaimResult:
+def _pair_points(instance: GadgetInstance) -> Callable[[str, str], Optional[Point]]:
+    """``polytopes_intersect`` of the witnesses named a and b, each ordered
+    pair solved once however many claims ask for it."""
+    solved: dict[tuple[str, str], Optional[Point]] = {}
+
+    def point(a: str, b: str) -> Optional[Point]:
+        if (a, b) not in solved:
+            solved[a, b] = polytopes_intersect(
+                [instance.witnesses[a], instance.witnesses[b]]
+            )
+        return solved[a, b]
+
+    return point
+
+
+def _check_pairwise_disjoint(instance, claim, pair_point) -> ClaimResult:
     overlaps = []
     for a, b in itertools.combinations(claim.witnesses, 2):
-        w = polytopes_intersect([instance.witnesses[a], instance.witnesses[b]])
+        w = pair_point(a, b)
         if w is not None:
             overlaps.append(f"{a} and {b} share {_fmt(w)}")
     if not overlaps:
@@ -276,8 +291,12 @@ def _check_count(instance, claim) -> ClaimResult:
     )
 
 
-def _check_not_two_pierceable(instance, claim) -> ClaimResult:
-    pair = pierceable_by_two(_bodies(instance, claim))
+def _check_not_two_pierceable(instance, claim, pair_point) -> ClaimResult:
+    names = claim.witnesses
+    pair = pierceable_by_two(
+        _bodies(instance, claim),
+        meets=lambda i, j: pair_point(names[i], names[j]) is not None,
+    )
     if pair is None:
         return ClaimResult(claim, True, "no two points cover the family")
     return ClaimResult(
@@ -474,24 +493,42 @@ def _probe_pairs(
 
 _CHECKERS = {
     ClaimKind.EMPTY_INTERSECTION: _check_empty_intersection,
-    ClaimKind.PAIRWISE_DISJOINT: _check_pairwise_disjoint,
     ClaimKind.STRICT_SIDE: _check_strict_side,
     ClaimKind.MEMBERSHIP: _check_membership,
     ClaimKind.COUNT: _check_count,
-    ClaimKind.NOT_TWO_PIERCEABLE: _check_not_two_pierceable,
     ClaimKind.ORACLE_THRESHOLD: _check_oracle_threshold,
+}
+# the claims decided on witness pairs, which share their LPs
+_PAIR_CHECKERS = {
+    ClaimKind.PAIRWISE_DISJOINT: _check_pairwise_disjoint,
+    ClaimKind.NOT_TWO_PIERCEABLE: _check_not_two_pierceable,
 }
 
 
-def check_claim(instance: GadgetInstance, claim: CertifiedClaim) -> ClaimResult:
-    """Decide one claim; pure, so claims can be checked in any order."""
+def check_claim(
+    instance: GadgetInstance,
+    claim: CertifiedClaim,
+    pair_point: Optional[Callable[[str, str], Optional[Point]]] = None,
+) -> ClaimResult:
+    """Decide one claim; pure, so claims can be checked in any order.
+
+    ``pair_point`` is a ``_pair_points(instance)`` shared by the claims of
+    one certification; without it the claim solves its own pair LPs.
+    """
+    if claim.kind in _PAIR_CHECKERS:
+        return _PAIR_CHECKERS[claim.kind](
+            instance, claim, pair_point or _pair_points(instance)
+        )
     return _CHECKERS[claim.kind](instance, claim)
 
 
 def certify(instance: GadgetInstance) -> CertificationReport:
-    """Check every claim of the instance and collect the verdicts in claim order."""
+    """Check every claim of the instance and collect the verdicts in claim
+    order, solving each witness pair's LP at most once."""
+    pair_point = _pair_points(instance)
     return CertificationReport(
-        instance.name, tuple(check_claim(instance, c) for c in instance.claims)
+        instance.name,
+        tuple(check_claim(instance, c, pair_point) for c in instance.claims),
     )
 
 

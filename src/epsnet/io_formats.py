@@ -43,7 +43,6 @@ _SCHEMA_FILE = os.path.join(os.path.dirname(__file__), "schemas", "report.schema
 
 def fraction_to_json(x: Fraction) -> Union[int, str]:
     """Integers stay JSON numbers; everything else becomes "p/q"."""
-    x = Fraction(x)
     if x.denominator == 1:
         return int(x)
     return f"{x.numerator}/{x.denominator}"
@@ -118,10 +117,25 @@ def write_pointset(
     write_json_atomic(path, pointset_document(P, extra))
 
 
+def _canonical_text(P: PointSet) -> str:
+    """``dumps_json`` of P's point-set document, written out directly:
+    integers as numbers, other rationals as "p/q" strings."""
+    rows = ",\n".join(
+        "    [\n"
+        + ",\n".join(
+            f"      {c.numerator}" if c.denominator == 1
+            else f'      "{c.numerator}/{c.denominator}"'
+            for c in p
+        )
+        + "\n    ]"
+        for p in P.points
+    )
+    return f'{{\n  "dim": {P.dim},\n  "points": [\n{rows}\n  ]\n}}\n'
+
+
 def pointset_digest(P: PointSet) -> str:
     """Content digest of the exact coordinates, independent of the file."""
-    canonical = dumps_json({"dim": P.dim, "points": [point_to_json(p) for p in P.points]})
-    return "sha256:" + sha256(canonical.encode("utf-8")).hexdigest()
+    return "sha256:" + sha256(_canonical_text(P).encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -294,12 +294,16 @@ def verify_weighted_net_convex(
     def scan(level, t):
         return sweep(level, t) if level in swept else comb(n, t)
 
+    point_holds = []  # every input point's test, built at the first violation
+
     def violation(level, t, mask):
+        if not point_holds:
+            point_holds.extend(hull_holds(P, p) for p in P.points)
         return Violation(
             level,
             SubsetHull(P, tuple(i for i in range(n) if mask >> i & 1)),
             sum(h(mask) for h in net_holds),
-            sum(hull_holds(P, p)(mask) for p in P.points),
+            sum(h(mask) for h in point_holds),
         )
 
     return _verify_levels(
@@ -328,13 +332,18 @@ def verify_weighted_net(
 
 
 def pierceable_by_two(
-    family: Sequence[ConvexBody], budget: int = DEFAULT_PIERCE_BUDGET
+    family: Sequence[ConvexBody],
+    budget: int = DEFAULT_PIERCE_BUDGET,
+    meets: Optional[Callable[[int, int], bool]] = None,
 ) -> Optional[tuple[Point, Point]]:
     """A pair of points together meeting every family member, or None.
 
     Exhaustive over bipartitions: each part must have a common point.  The
     pairwise-intersection graph prunes most splits (a part whose members do
-    not pairwise intersect cannot have one).  Exact; deterministic.
+    not pairwise intersect cannot have one).  ``meets(i, j)``, for i < j,
+    answers whether members i and j intersect, for a caller that has
+    solved those LPs already; by default each pair's LP is solved here.
+    Exact; deterministic.
     """
     m = len(family)
     if m == 0:
@@ -344,11 +353,12 @@ def pierceable_by_two(
             f"{m} members need {1 << (m - 1)} bipartitions, budget {budget}",
             required=1 << (m - 1),
         )
+    if meets is None:
+        meets = lambda i, j: polytopes_intersect([family[i], family[j]]) is not None
     pair_ok = [[True] * m for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
-            ok = polytopes_intersect([family[i], family[j]]) is not None
-            pair_ok[i][j] = pair_ok[j][i] = ok
+            pair_ok[i][j] = pair_ok[j][i] = meets(i, j)
     # member 0 stays in part A; enumerate assignments of the rest
     for bits in range(1 << (m - 1)):
         part_a = [0] + [i for i in range(1, m) if not bits >> (i - 1) & 1]

@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import shlex
 import shutil
 import subprocess
 import sys
@@ -18,7 +19,9 @@ from epsnet.cli import (
     SEARCH_MAX_N,
     _arrangement_candidates,
     _parse_candidates,
+    _parse_exact,
     _search,
+    build_parser,
     exit_code_for,
     main,
 )
@@ -601,3 +604,146 @@ def test_module_invocation_round_trip(workspace, capsys):
     assert code == 0
     assert result.stdout == out
     validate_report(json.loads(result.stdout))
+
+
+# --- argument parsing ------------------------------------------------------------
+
+# one argv per perfbench recipe shape, with placeholder file names
+RECIPE_SHAPES = [
+    ["construct", "--ranges", "boxes", "--size", "3", "--eps", "3/8,1/2,5/8",
+     "--input", "t.json", "--verify", "--svg", "t.svg"],
+    ["construct", "--ranges", "boxes", "--size", "2", "--eps", "3/7,4/7",
+     "--input", "p.json", "--verify"],
+    ["construct", "--ranges", "convex", "--size", "2", "--eps", "3/5,4/5",
+     "--input", "c.json", "--verify"],
+    ["construct", "--ranges", "convex", "--size", "2", "--eps", "3/5,4/5",
+     "--input", "c.json", "--budget", str(10 ** 18)],
+    ["gadget", "--name", "five-clusters", "--k", "3", "--out", "g.json", "--certify"],
+    ["gadget", "--name", "simplex", "--dim", "4", "--out", "g.json", "--certify"],
+    ["gadget", "--name", "hexagon3d", "--out", "g.json", "--certify"],
+    ["search", "--ranges", "convex", "--size", "2", "--input", "s.json",
+     "--candidates", "arrangement"],
+    ["search", "--ranges", "boxes", "--size", "2", "--input", "s.json",
+     "--candidates", "grid:4"],
+    ["verify", "--input", "p.json", "--net", "n.json", "--eps", "1/2",
+     "--ranges", "convex", "--budget", "7", "--report", "r.json", "--timing"],
+]
+
+
+def _golden_commands():
+    return [
+        json.loads((DATA / f"golden_{name}.json").read_text())["command"]
+        for name in ("construct", "verify", "gadget", "search")
+    ]
+
+
+def _readme_commands():
+    """The ``epsnet ...`` lines of the README's CLI section, continuations
+    joined."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("## CLI", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```", 2)[1].replace("\\\n", " ")
+    return [
+        shlex.split(line)[1:] for line in block.splitlines()
+        if line.startswith("epsnet ")
+    ]
+
+
+def _options(argv):
+    """argv[1:] split into option groups: a flag and its value, if any."""
+    groups, i = [], 1
+    while i < len(argv):
+        takes_value = i + 1 < len(argv) and not argv[i + 1].startswith("--")
+        groups.append(argv[i:i + 2] if takes_value else argv[i:i + 1])
+        i += len(groups[-1])
+    return groups
+
+
+def _split(argv):
+    """(group, the other groups' tokens) for each option group of argv."""
+    groups = _options(argv)
+    return [(g, sum(groups[:i] + groups[i + 1:], [])) for i, g in enumerate(groups)]
+
+
+def _moved(argv):
+    """Well-formed reorderings: each option group moved to the front."""
+    return [[argv[0], *g, *rest] for g, rest in _split(argv)]
+
+
+def _dropped(argv):
+    """Each option group left out: well formed unless it was required."""
+    return [[argv[0], *rest] for _, rest in _split(argv)]
+
+
+def _malformed(argv):
+    """Calls outside the table parser's grammar, which it leaves to argparse."""
+    out = [[argv[0], "-h"], [*argv, "--help"], argv[:1] + ["-h"] + argv[1:]]
+    for g, rest in _split(argv):
+        out.append([*argv, *g])  # repeated
+        out.append([argv[0], g[0][:-1], *g[1:], *rest])  # abbreviated
+        if len(g) == 2:
+            out.append([argv[0], f"{g[0]}={g[1]}", *rest])
+            out.append([argv[0], *rest, g[0]])  # value missing
+    for flag, bad in (
+        ("--ranges", "disks"), ("--name", "cube"), ("--size", "two"),
+        ("--size", "4"), ("--size", "-1"), ("--budget", "-5"), ("--budget", "1.5"),
+        ("--k", "-2"), ("--dim", "x"),
+    ):
+        if flag in argv:
+            j = argv.index(flag) + 1
+            out.append(argv[:j] + [bad] + argv[j + 1:])
+    out.append([*argv, "--bogus"])
+    out.append([*argv, "extra"])
+    return out
+
+
+def _argparse_vars(argv):
+    try:
+        return vars(build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+def test_table_parser_matches_argparse(capsys):
+    """On every call of the corpus the table parser returns argparse's
+    namespace, or None: always for a call outside its grammar, and
+    exactly when argparse fails for a call with an option dropped."""
+    assert len(_readme_commands()) == 4
+    well_formed = []
+    for argv in _golden_commands() + _readme_commands() + RECIPE_SHAPES:
+        well_formed += [argv, *_moved(argv)]
+    dropped = [d for argv in well_formed for d in _dropped(argv)]
+    for argv in well_formed + dropped:
+        fast, want = _parse_exact(argv), _argparse_vars(argv)
+        assert (fast is None) == (want is None), argv
+        assert fast is None or vars(fast) == want, argv
+    malformed = [m for argv in well_formed for m in _malformed(argv)]
+    malformed += [[], ["-h"], ["--help"], ["nope"], ["search"]]
+    for argv in malformed:
+        assert _parse_exact(argv) is None, argv
+    # argparse accepts some of them (repeats, abbreviations, --opt=value)
+    assert any(_argparse_vars(argv) is not None for argv in malformed)
+    capsys.readouterr()  # argparse's help and error text
+
+
+def test_well_formed_call_imports_no_locale(workspace):
+    """argparse's first message lookup imports locale; a well-formed call
+    builds no argparse parser and so never imports it."""
+    package_root = str(Path(epsnet.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")])
+    )
+    script = (
+        "import sys\n"
+        "sys.modules.pop('locale', None)\n"  # whatever the interpreter preloads
+        "from epsnet.cli import main\n"
+        "rc = main(['search', '--ranges', 'boxes', '--size', '1',"
+        " '--input', 'points8.json', '--candidates', 'grid:2'])\n"
+        "print(rc, 'locale' in sys.modules, file=sys.stderr)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert result.stderr == "0 False\n"

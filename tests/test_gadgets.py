@@ -700,6 +700,29 @@ def test_five_clusters_lenses_share_the_origin():
     assert not report.passed
 
 
+def test_five_clusters_certify_solves_each_lens_pair_once(monkeypatch):
+    """The pairwise-disjoint and not-two-pierceable claims share the 10
+    lens-pair LPs: 10 of them plus the one LP over all five lenses that
+    pierces the family; each claim checked alone solves its own."""
+    import epsnet.gadgets
+    import epsnet.geometry
+    import epsnet.verification
+
+    inst = gadget_five_clusters(3)
+    alone = [check_claim(inst, c) for c in inst.claims]
+    calls = []
+
+    def counted(family):
+        calls.append(len(family))
+        return polytopes_intersect(family)
+
+    for module in (epsnet.geometry, epsnet.gadgets, epsnet.verification):
+        monkeypatch.setattr(module, "polytopes_intersect", counted)
+    report = certify(inst)
+    assert Counter(calls) == {2: 10, 5: 1}
+    assert list(report.results) == alone
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="unattainable: every witness over the 3n/5 threshold contains"

@@ -1,7 +1,9 @@
 """io_formats: exact file round trips, digests, report documents."""
 
+import hashlib
 import json
 import os
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -9,11 +11,13 @@ import pytest
 from epsnet.gadgets import gadget_hexagon_3d
 from epsnet.geometry import PointSet
 from epsnet.io_formats import (
+    _canonical_text,
     claims_document,
     dumps_json,
     fraction_to_json,
     json_to_fraction,
     make_report,
+    point_to_json,
     pointset_digest,
     read_pointset,
     validate_report,
@@ -92,6 +96,23 @@ def test_digest_tracks_content():
     c = pointset_digest(P2((0, 0), (1, 2)))
     assert a == b != c
     assert a.startswith("sha256:") and len(a) == len("sha256:") + 64
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_digest_text_is_dumps_json_of_the_document(d):
+    """The digest hashes the text ``dumps_json`` gives the point-set
+    document, written without the json encoder."""
+    rng = random.Random(d)
+    values = [F(0), F(7), F(-12), F(1, 2), F(-5, 3), F(10 ** 20 + 1, 7), F(-(10 ** 15))]
+    for n in (1, 2, 9):
+        P = PointSet(d, tuple(
+            tuple(rng.choice(values) for _ in range(d)) for _ in range(n)
+        ))
+        want = dumps_json({"dim": d, "points": [point_to_json(p) for p in P.points]})
+        assert _canonical_text(P) == want
+        assert pointset_digest(P) == (
+            "sha256:" + hashlib.sha256(want.encode("utf-8")).hexdigest()
+        )
 
 
 def test_dumps_json_is_deterministic():

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction as F
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -25,11 +26,13 @@ from epsnet.geometry import (
     integer_coords,
     point_in_hull,
 )
+from epsnet.io_formats import read_pointset
 from epsnet.ranges import (
     EpsilonProfile,
     RangeSpaceKind,
     WeightedNet,
     count_in_box,
+    hull_holds,
     max_subset_avoiding,
 )
 from epsnet.verification import (
@@ -50,6 +53,8 @@ from helpers import (
     slow_verify_boxes,
     slow_verify_convex,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def P2(*pts):
@@ -433,6 +438,34 @@ def test_far_net_fails_convex():
     v = report.violations[0]
     assert v.level == 1 and v.net_count == 0
     assert len(v.witness.indices) == int(F(3, 5) * 5) + 1
+
+
+def test_convex_violations_build_point_tests_once(monkeypatch):
+    """A failing net builds every input point's hull test once, at its
+    first violation, and a passing net builds none; the counts are those
+    of the exact LP."""
+    import epsnet.verification
+
+    P = read_pointset(str(DATA / "points14.json"))
+    far = read_pointset(str(DATA / "net_far.json"))
+    built = []
+
+    def counted(base, q):
+        built.append(q)
+        return hull_holds(base, q)
+
+    monkeypatch.setattr(epsnet.verification, "hull_holds", counted)
+    report = verify_weighted_net_convex(
+        P, WeightedNet(far.points, EpsilonProfile((F(1, 2),)))
+    )
+    assert not report.passed and len(report.violations) > 1
+    assert len(built) == 1 + P.n
+    for v in report.violations:
+        assert v.point_count == sum(point_in_hull(p, v.witness) for p in P.points)
+    built.clear()
+    net, _ = construct_convex_pair(P, EpsilonProfile((F(3, 5), F(4, 5))))
+    assert verify_weighted_net_convex(P, net).passed
+    assert len(built) == net.k
 
 
 def test_convex_budget_exceeded():
