@@ -255,14 +255,15 @@ def _arrangement_candidates(P: PointSet, kind: RangeSpaceKind) -> list[Point]:
     ``A x + B y = C`` (first nonzero of A, B positive), each crossing as
     its reduced homogeneous triple ``(x, y, w)`` with w > 0, so equal
     points have equal triples and ``Fraction``s are built only for the
-    distinct crossings that are not input points.
+    distinct crossings that are not input points.  The box grid holds every
+    input point, and its rows come out sorted.
     """
-    pts = set(P.points)
     if kind is RangeSpaceKind.AXIS_PARALLEL_BOXES:
-        xs = sorted({p[0] for p in P.points})
-        ys = sorted({p[1] for p in P.points})
-        pts.update((x, y) for x in xs for y in ys)
-        return sorted(pts)
+        xs, ys = (
+            [Fraction(c, P.scale) for c in sorted(set(col))] for col in zip(*P.ipts)
+        )
+        return list(itertools.product(xs, ys))
+    pts = set(P.points)
     scale, ipts = integer_coords(P)
     lines = set()
     for (ax, ay), (bx, by) in itertools.combinations(ipts, 2):
@@ -289,12 +290,19 @@ def _arrangement_candidates(P: PointSet, kind: RangeSpaceKind) -> list[Point]:
 
 
 def _grid_candidates(P: PointSet, resolution: int) -> list[Point]:
+    """The (resolution + 1)^d grid over P's bounding box, stepped on P's
+    integer coordinates: grid line i on an axis is
+    ``(lo * resolution + (hi - lo) * i) / (scale * resolution)``."""
     if resolution < 1:
         raise ValueError("grid resolution must be at least 1")
+    den = P.scale * resolution
     axes = []
-    for lo, hi in P.bounding_box():
-        step = (hi - lo) / resolution
-        axes.append([lo + step * i for i in range(resolution + 1)])
+    for col in zip(*P.ipts):
+        lo, hi = min(col), max(col)
+        axes.append([
+            Fraction(lo * resolution + (hi - lo) * i, den)
+            for i in range(resolution + 1)
+        ])
     return sorted(set(itertools.product(*axes)))
 
 

@@ -11,18 +11,18 @@ of per-slab order-statistic boxes.  Both box constructions run in rank
 space: every point is its per-axis ranks (``ranges._axis_orders``), a
 mirrored axis reverses them, each cut is a rank boundary and each order
 statistic or family bound a rank, and only the net points and the cut
-hyperplanes are read back as Fractions from the sorted coordinates.  The
-three-point construction enumerates every canonical box on the rank grid
-one x-slab at a time (``_box_triple_slabs``, the module's only numpy code)
-and intersects the two assigned families directly.  Each slab's int32
-count matrices are cropped to its t1 window: a box starting above the
-slab's t1-th highest y rank, or ending below its t1-th lowest, holds
-fewer than t1 points, and every family member holds at least t1 (level-3
-members at least t3 >= t1), so the crop drops no member and changes no
-yield.  Constructions
-whose count structure cannot meet the requirements raise
-ConstructionFailureError rather than returning an unverified net; the box
-constructors re-verify their output before returning it.
+hyperplanes are read back as Fractions from the sorted integer
+coordinates.  The three-point construction enumerates every canonical box
+on the rank grid one x-slab at a time (``_box_triple_slabs``, the module's
+only numpy code) and intersects the two assigned families directly.  Each
+slab's int32 count matrices are cropped to its t1 window: a box starting
+above the slab's t1-th highest y rank, or ending below its t1-th lowest,
+holds fewer than t1 points, and every family member holds at least t1
+(level-3 members at least t3 >= t1), so the crop drops no member and
+changes no yield.  Constructions whose count structure cannot meet the
+requirements raise ConstructionFailureError rather than returning an
+unverified net; the box constructors re-verify their output before
+returning it.
 """
 
 from __future__ import annotations
@@ -364,7 +364,9 @@ def box_median_point(P: PointSet) -> WeightedNet:
     """
     P.require_distinct_coords()
     k = (P.n + 1) // 2  # 1-based rank ceil(n/2)
-    point = tuple(coords[k - 1] for coords, _, _ in _axis_orders(P))
+    point = tuple(
+        Fraction(coords[k - 1], P.scale) for coords, _, _ in _axis_orders(P)
+    )
     return WeightedNet((point,), EpsilonProfile((HALF,)))
 
 
@@ -386,8 +388,8 @@ def construct_box_pair_highd(
     (coordinates are distinct, so a rank is a coordinate's place in its
     axis order).  A mirrored axis reads rank r as n - 1 - r, a cut is a
     rank boundary, and each order-statistic bound is a rank; only the net
-    points and the cut hyperplanes are read back from the sorted
-    coordinates.
+    points and the cut hyperplanes are read back from the sorted integer
+    coordinates, as ``Fraction(c, P.scale)``.
     """
     d, n = P.dim, P.n
     failed = _box_pair_failures(d, eps)
@@ -435,14 +437,17 @@ def construct_box_pair_highd(
             notes.append(f"axis {a}: cut through a point")
         corner = [i for i in corner if work[a][i] < kill]
 
-    def coord(a: int, r: int) -> Fraction:
-        """The input coordinate on axis a at work rank r."""
+    def coord(a: int, r: int) -> int:
+        """The integer input coordinate on axis a at work rank r."""
         return orders[a][0][n - 1 - r if flips[a] else r]
 
+    scale = P.scale
     if on_pt:
-        p1 = tuple(coord(a, kill) for a in range(d))
+        p1 = tuple(Fraction(coord(a, kill), scale) for a in range(d))
     else:
-        p1 = tuple((coord(a, kill - 1) + coord(a, kill)) / 2 for a in range(d))
+        p1 = tuple(
+            Fraction(coord(a, kill - 1) + coord(a, kill), 2 * scale) for a in range(d)
+        )
     # order-statistic boxes: survivor slab per axis (the ranks above the
     # cut), plus the global level-2 box; the kill side's floor(e1*n) points
     # are too few for a level-1 box
@@ -469,7 +474,7 @@ def construct_box_pair_highd(
             raise ConstructionFailureError(
                 f"slab boxes {lo_src[a]} and {hi_src[a]} are disjoint on axis {a}"
             )
-    p2 = tuple((coord(a, lo[a]) + coord(a, hi[a])) / 2 for a in range(d))
+    p2 = tuple(Fraction(coord(a, lo[a]) + coord(a, hi[a]), 2 * scale) for a in range(d))
 
     net = WeightedNet((p1, p2), eps)
     report = verify_weighted_net_boxes(P, net)
@@ -591,7 +596,8 @@ def construct_box_triple_2d(
     mirrored x-axis reads rank r as n - 1 - r, every canonical box is a
     rectangle of ranks (``_box_triple_slabs``), and each family's
     intersection is four rank bounds.  Only the net points and the cut
-    hyperplanes are read back from the sorted coordinates.
+    hyperplanes are read back from the sorted integer coordinates, as
+    ``Fraction(c, P.scale)``.
     """
     if P.dim != 2:
         raise DegenerateInputError("construct_box_triple_2d needs d = 2")
@@ -605,9 +611,12 @@ def construct_box_triple_2d(
     t3 = eps.min_strict_count(3, n)
     (xc, _, xrank), (yc, _, yrank) = _axis_orders(P)
     half, above = n // 2, (n + 1) // 2
+    scale = P.scale
 
-    def cut(coords: tuple[Fraction, ...]) -> Fraction:
-        return coords[half] if n % 2 else (coords[half - 1] + coords[half]) / 2
+    def cut(coords: tuple[int, ...]) -> Fraction:
+        if n % 2:
+            return Fraction(coords[half], scale)
+        return Fraction(coords[half - 1] + coords[half], 2 * scale)
 
     p1 = (cut(xc), cut(yc))
     # quadrants above the y cut, left and right of the x cut
@@ -636,7 +645,7 @@ def construct_box_triple_2d(
             if bottom[3] < bounds[3][0]:
                 bounds[3] = (bottom[3], bottom)
 
-    def x_at(r: int) -> Fraction:
+    def x_at(r: int) -> int:
         return xc[n - 1 - r if mirror else r]
 
     points = [p1]
@@ -651,8 +660,8 @@ def construct_box_triple_2d(
                     f" are disjoint on axis {axis}"
                 )
         points.append((
-            (x_at(lo_x[0]) + x_at(hi_x[0])) / 2,
-            (yc[lo_y[0]] + yc[hi_y[0]]) / 2,
+            Fraction(x_at(lo_x[0]) + x_at(hi_x[0]), 2 * scale),
+            Fraction(yc[lo_y[0]] + yc[hi_y[0]], 2 * scale),
         ))
     p1, p2, p3 = points
     net = WeightedNet((p1, p2, p3), eps)

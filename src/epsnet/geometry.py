@@ -6,10 +6,15 @@ rational LP feasibility, and the 2D fast paths (convex hulls, polygon
 clipping) run on integers: input points scaled by one common factor, and
 clipped polygon vertices as canonical homogeneous integer triples.
 
-Every scalar is a ``fractions.Fraction``.  Floats are rejected at the
-boundary: binary floats silently misrepresent decimal inputs, and all
-downstream decisions are strict comparisons on counts, so one ULP of noise
-could flip a verdict.
+A ``PointSet`` stores that integer form itself, built once when the set is
+made: ``scale``, the least common denominator of the coordinates, and
+``ipts``, the points times ``scale``.  Its ``points``, the coordinates as
+``Fraction`` tuples, are a view built on first access.
+
+Every scalar the API takes or returns is a ``fractions.Fraction``.  Floats
+are rejected at the boundary: binary floats silently misrepresent decimal
+inputs, and all downstream decisions are strict comparisons on counts, so
+one ULP of noise could flip a verdict.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
@@ -33,6 +38,7 @@ Point = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_INT = frozenset((int,))
 
 
 def frac(value) -> Fraction:
@@ -59,46 +65,85 @@ def as_point(coords: Iterable, dim: Optional[int] = None) -> Point:
     return p
 
 
-@dataclass(frozen=True)
 class PointSet:
-    """An ordered set of n points in R^d.
+    """An ordered set of n points in R^d, stored in exact integer form.
+
+    The constructor takes any rationals (ints, Fractions, "p/q" strings)
+    and stores ``scale``, the least positive common denominator of all
+    coordinates, and ``ipts``, each point times ``scale`` as a tuple of
+    Python ints.  That form is unique, so equality compares it, and the
+    hash, computed once on first use, is taken over it: point sets key
+    the module caches of axis orders and oracle masks, and rehashing
+    every coordinate on each lookup would cost as much as the cached work
+    at large n.  ``points`` is a read-only view of the same coordinates as
+    ``Fraction`` tuples, built on first access; the kernels that sort,
+    count and digest the input never build it.
 
     ``check_general_position`` raises unless no d+1 points lie on a common
     hyperplane and coordinates are pairwise distinct along every axis.  In
     the plane it compares reduced integer directions, O(n^2) in all; for
     d >= 3 it takes one integer determinant per (d+1)-subset, O(n^(d+1)).
     Operations that need just the per-axis distinctness test it themselves.
-
-    The hash is computed once, on first use: point sets key the module
-    caches of integer coordinates, axis orders and oracle masks, and
-    rehashing every coordinate on each lookup would cost as much as the
-    cached work at large n.
     """
 
     dim: int
-    points: tuple[Point, ...]
+    scale: int
+    ipts: tuple[tuple[int, ...], ...]
+
+    def __init__(self, dim: int, points: Iterable[Iterable]):
+        if dim < 1:
+            raise ValueError("dimension must be positive")
+        rows = tuple(map(tuple, points))
+        if not rows:
+            raise ValueError("point set must be non-empty")
+        scale = 1
+        if not _INT.issuperset(map(type, itertools.chain.from_iterable(rows))):
+            rows = tuple(as_point(p, dim) for p in rows)
+            scale = lcm(*{c.denominator for p in rows for c in p})
+            rows = tuple(
+                tuple(c.numerator * (scale // c.denominator) for c in p) for p in rows
+            )
+        elif set(map(len, rows)) != {dim}:
+            bad = next(len(p) for p in rows if len(p) != dim)
+            raise DimensionMismatchError(f"expected {dim} coordinates, got {bad}")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "ipts", rows)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to PointSet.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete PointSet.{name}")
+
+    @cached_property
+    def points(self) -> tuple[Point, ...]:
+        scale = self.scale
+        if scale == 1:
+            return tuple(tuple(map(Fraction, p)) for p in self.ipts)
+        return tuple(tuple(Fraction(c, scale) for c in p) for p in self.ipts)
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.dim, self.points))
+        return hash((self.dim, self.scale, self.ipts))
 
     def __hash__(self) -> int:
         return self._hash
 
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dimension must be positive")
-        pts = tuple(as_point(p, self.dim) for p in self.points)
-        object.__setattr__(self, "points", pts)
-        if not pts:
-            raise ValueError("point set must be non-empty")
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.dim, self.scale, self.ipts) == (other.dim, other.scale, other.ipts)
+
+    def __repr__(self) -> str:
+        return f"PointSet(dim={self.dim!r}, points={self.points!r})"
 
     @property
     def n(self) -> int:
-        return len(self.points)
+        return len(self.ipts)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.ipts)
 
     def __iter__(self):
         return iter(self.points)
@@ -112,8 +157,7 @@ class PointSet:
         if axis is not None and not 0 <= axis < self.dim:
             raise DimensionMismatchError(f"axis {axis} out of range for d={self.dim}")
         axes = range(self.dim) if axis is None else [axis]
-        _, ipts = integer_coords(self)
-        return all(len({p[a] for p in ipts}) == self.n for a in axes)
+        return all(len({p[a] for p in self.ipts}) == self.n for a in axes)
 
     def require_distinct_coords(self, axis: Optional[int] = None) -> None:
         if not self.has_distinct_coords(axis):
@@ -125,7 +169,7 @@ class PointSet:
         d = self.dim
         if self.n < d + 1:
             return
-        _, ipts = integer_coords(self)
+        ipts = self.ipts
         if d == 2:
             self._check_no_collinear_triple(ipts)
             return
@@ -172,8 +216,8 @@ class PointSet:
 
     def bounding_box(self) -> tuple[tuple[Fraction, Fraction], ...]:
         return tuple(
-            (min(p[a] for p in self.points), max(p[a] for p in self.points))
-            for a in range(self.dim)
+            (Fraction(min(col), self.scale), Fraction(max(col), self.scale))
+            for col in zip(*self.ipts)
         )
 
 
@@ -484,14 +528,10 @@ def clip_polygon_halfplane(poly: list[tuple], a, b) -> list[tuple]:
     return dedup
 
 
-@lru_cache(maxsize=32)
 def integer_coords(ps: PointSet) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(scale, points*scale): the least scale making all coordinates integers."""
-    denom = lcm(*{c.denominator for p in ps.points for c in p})
-    scaled = tuple(
-        tuple(c.numerator * (denom // c.denominator) for c in p) for p in ps.points
-    )
-    return denom, scaled
+    """(scale, points*scale): the least scale making all coordinates integers,
+    as the point set stores them."""
+    return ps.scale, ps.ipts
 
 
 def common_integer_coords(

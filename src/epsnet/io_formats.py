@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from fractions import Fraction
+from math import gcd
 from typing import Any, Mapping, Optional, Sequence, Union
 
 # CPython's own SHA-256, as the random module takes its _sha512: hashlib's
@@ -27,7 +27,7 @@ except ImportError:
         from hashlib import sha256
 
 from .gadgets import CertificationReport, CertifiedClaim, GadgetInstance
-from .geometry import HPolytope, Point, PointSet, SubsetHull
+from .geometry import _INT, HPolytope, Point, PointSet, SubsetHull
 from .ranges import BoxRange, EpsilonProfile, WeightedNet
 from .verification import VerificationReport, Violation
 
@@ -77,8 +77,9 @@ def point_to_json(p: Point) -> list:
 def read_pointset(path: str) -> PointSet:
     """Load a {"dim": d, "points": [[...], ...]} document exactly.
 
-    Decimal number literals parse straight to Fraction, so "0.1" in the
-    file means one tenth, not the nearest double.
+    JSON integers pass to the point set as they are; decimal number
+    literals parse straight to Fraction, so "0.1" in the file means one
+    tenth, not the nearest double, and "p/q" strings become Fractions.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -93,15 +94,15 @@ def read_pointset(path: str) -> PointSet:
         raise ValueError(f"{path}: 'dim' must be a positive integer")
     if not isinstance(rows, list) or not rows:
         raise ValueError(f"{path}: 'points' must be a nonempty array")
-    points = []
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
             raise ValueError(f"{path}: row {i} does not have {dim} entries")
-        try:
-            points.append(tuple(json_to_fraction(c) for c in row))
-        except ValueError as exc:
-            raise ValueError(f"{path}: row {i}: {exc}") from None
-    return PointSet(dim, tuple(points))
+        if not _INT.issuperset(map(type, row)):
+            try:
+                rows[i] = [c if type(c) is int else json_to_fraction(c) for c in row]
+            except ValueError as exc:
+                raise ValueError(f"{path}: row {i}: {exc}") from None
+    return PointSet(dim, rows)
 
 
 def pointset_document(P: PointSet, extra: Optional[Mapping[str, Any]] = None) -> dict:
@@ -118,18 +119,20 @@ def write_pointset(
 
 
 def _canonical_text(P: PointSet) -> str:
-    """``dumps_json`` of P's point-set document, written out directly:
-    integers as numbers, other rationals as "p/q" strings."""
-    rows = ",\n".join(
-        "    [\n"
-        + ",\n".join(
-            f"      {c.numerator}" if c.denominator == 1
-            else f'      "{c.numerator}/{c.denominator}"'
-            for c in p
-        )
-        + "\n    ]"
-        for p in P.points
-    )
+    """``dumps_json`` of P's point-set document, written out directly from
+    its integer coordinates: integers as numbers, other rationals as
+    reduced "p/q" strings."""
+    scale = P.scale
+    cols = zip(*P.ipts)
+    if scale != 1:
+
+        def coord(c: int) -> str:
+            g = gcd(c, scale)
+            return str(c // g) if g == scale else f'"{c // g}/{scale // g}"'
+
+        cols = [map(coord, col) for col in cols]
+    row = "    [\n" + ",\n".join(["      {}"] * P.dim) + "\n    ]"
+    rows = ",\n".join(map(row.format, *cols))
     return f'{{\n  "dim": {P.dim},\n  "points": [\n{rows}\n  ]\n}}\n'
 
 
@@ -151,8 +154,20 @@ def write_json_atomic(path: str, obj: Any) -> None:
 
 
 def write_text_atomic(path: str, text: str) -> None:
+    """Write through a fresh temp file in the target's directory, renamed
+    over the target.  The temp name takes 64 random bits from the OS
+    rather than ``tempfile``'s generator, which reseeds itself in every
+    forked process; the file is created exclusively with mode 0o600, as
+    ``tempfile.mkstemp`` creates it."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".epsnet-", suffix=".tmp")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC
+    while True:
+        tmp = os.path.join(directory, f".epsnet-{os.urandom(8).hex()}.tmp")
+        try:
+            fd = os.open(tmp, flags, 0o600)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -52,7 +52,6 @@ from .geometry import (
     as_point,
     common_integer_coords,
     frac,
-    integer_coords,
     point_in_hull,
 )
 
@@ -154,24 +153,20 @@ class RangeSpaceKind(Enum):
 @lru_cache(maxsize=64)
 def _axis_orders(
     P: PointSet,
-) -> tuple[tuple[tuple[Fraction, ...], tuple[int, ...], tuple[int, ...]], ...]:
-    """Per axis: (sorted coordinates, point indices in that order, each
-    point's rank: its position in that order).
+) -> tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]:
+    """Per axis: (sorted integer coordinates ``P.ipts``, point indices in
+    that order, each point's rank: its position in that order).
 
-    Each axis is sorted once on the integer coordinates of
-    :func:`~epsnet.geometry.integer_coords`, whose positive scale keeps the
-    order of the rationals; the sort is stable, so tied coordinates keep
-    index order."""
-    _, ipts = integer_coords(P)
+    The positive ``P.scale`` keeps the order of the rationals, so the
+    coordinate at a position is ``Fraction(c, P.scale)``; the sort is
+    stable, so tied coordinates keep index order."""
     out = []
-    for a in range(P.dim):
-        key = [p[a] for p in ipts]
+    for key in zip(*P.ipts):
         order = sorted(range(P.n), key=key.__getitem__)
-        coords = tuple(P.points[i][a] for i in order)
         rank = [0] * P.n
         for pos, i in enumerate(order):
             rank[i] = pos
-        out.append((coords, tuple(order), tuple(rank)))
+        out.append((tuple(map(key.__getitem__, order)), tuple(order), tuple(rank)))
     return tuple(out)
 
 
@@ -187,12 +182,19 @@ def box_signature(P: PointSet, q: Point) -> tuple[tuple[int, int], ...]:
     ``(bisect_right, bisect_left)``.  A point of rank r on an axis lies
     strictly above q there iff r >= bisect_right, and strictly below iff
     r < bisect_left, so these two integers pick q's masks out of the
-    prefix masks."""
-    q = as_point(q, P.dim)
-    return tuple(
-        (bisect_right(coords, q[a]), bisect_left(coords, q[a]))
-        for a, (coords, _, _) in enumerate(_axis_orders(P))
-    )
+    prefix masks.
+
+    q is scaled by ``P.scale`` once; an integer coordinate is at most
+    ``c * scale`` iff it is at most its floor, and below it iff it is
+    below its ceiling."""
+    scale = P.scale
+    out = []
+    for c, (coords, _, _) in zip(as_point(q, P.dim), _axis_orders(P)):
+        num, den = c.numerator * scale, c.denominator
+        out.append(
+            (bisect_right(coords, num // den), bisect_left(coords, -(-num // den)))
+        )
+    return tuple(out)
 
 
 @lru_cache(maxsize=64)

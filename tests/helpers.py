@@ -11,12 +11,14 @@ search over points, the Fraction arrangement vertices, the Fraction probe
 lattice, the oracle-threshold check that queries every pair, the Fraction
 lens hulls and per-point count and membership claims, the
 verifiers' per-kind level loops, the Fraction box pair, triple and median
-point, and the Fraction SVG coordinate map),
+point, the Fraction SVG coordinate map, and the point-set reader that
+turns every coordinate into a Fraction),
 which differential tests hold the library's kernels to, output for output.
 """
 
 from fractions import Fraction as F
 from itertools import combinations, combinations_with_replacement, product
+import json
 from math import comb
 import random
 
@@ -49,6 +51,7 @@ from epsnet.geometry import (
     orient2d,
     point_in_hull,
 )
+from epsnet.io_formats import json_to_fraction
 from epsnet.linprog import ONE, ZERO
 from epsnet.ranges import (
     BoxRange,
@@ -1627,3 +1630,33 @@ def slow_render_svg(P, net=None, extras=()):
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"
+
+
+# --- the point-set reader, before integer coordinates -------------------------
+
+
+def slow_read_pointset(path):
+    """``io_formats.read_pointset`` as it was before point sets stored
+    integer coordinates: every coordinate becomes a Fraction."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh, parse_float=F)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    dim = doc.get("dim")
+    rows = doc.get("points")
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        raise ValueError(f"{path}: 'dim' must be a positive integer")
+    if not isinstance(rows, list) or not rows:
+        raise ValueError(f"{path}: 'points' must be a nonempty array")
+    points = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != dim:
+            raise ValueError(f"{path}: row {i} does not have {dim} entries")
+        try:
+            points.append(tuple(json_to_fraction(c) for c in row))
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {i}: {exc}") from None
+    return PointSet(dim, tuple(points))

@@ -527,6 +527,18 @@ def test_arrangement_candidates_match_on_random_sets():
         ) == slow_arrangement_candidates(P), pts
 
 
+@pytest.mark.parametrize("name", sorted(ARRANGEMENT_SETS))
+def test_box_arrangement_candidates_are_the_coordinate_grid(name):
+    """Box candidates: the input points and every crossing of an input x
+    with an input y, sorted, built from the integer coordinates."""
+    P = PointSet(2, tuple(ARRANGEMENT_SETS[name]))
+    got = _arrangement_candidates(P, RangeSpaceKind.AXIS_PARALLEL_BOXES)
+    want = set(P.points)
+    want.update(product({p[0] for p in P.points}, {p[1] for p in P.points}))
+    assert got == sorted(want)
+    assert all(type(c) is F for q in got for c in q)
+
+
 def test_search_grid_refinement_is_monotone(workspace, capsys):
     results = {}
     for grid in ("grid:4", "grid:8"):

@@ -92,7 +92,18 @@ def test_pointset_hash_is_cached():
     P = PointSet(2, pts)
     Q = PointSet(2, tuple((F(i, 7), F(3 * i + 1, 5)) for i in range(9)))
     assert P == Q and hash(P) == hash(Q)
-    assert hash(P) == hash((P.dim, P.points))
+    # the same points from ints, Fractions and "p/q" strings hash equal
+    for forms in (
+        [
+            ((2, 4), (6, -8)),
+            ((F(2), F(4)), (F(6), F(-8))),
+            (("2", "8/2"), ("18/3", "-16/2")),
+        ],
+        [((F(1, 2), 3), (F(-5, 4), F(6, 4))), (("1/2", "6/2"), ("-5/4", "3/2"))],
+    ):
+        first, *rest = (PointSet(2, rows) for rows in forms)
+        for other in rest:
+            assert other == first and hash(other) == hash(first)
     before = _CountingFraction.hashes
     for _ in range(5):
         hash(P)

@@ -4,10 +4,15 @@ import hashlib
 import json
 import os
 import random
+import stat
 from fractions import Fraction as F
 
 import pytest
 
+from helpers import _slow_axis_orders, random_pointset, slow_read_pointset
+
+from epsnet import ranges
+from epsnet.constructions import construct_box_pair_highd
 from epsnet.gadgets import gadget_hexagon_3d
 from epsnet.geometry import PointSet
 from epsnet.io_formats import (
@@ -24,6 +29,7 @@ from epsnet.io_formats import (
     verification_to_json,
     write_json_atomic,
     write_pointset,
+    write_text_atomic,
 )
 from epsnet.ranges import EpsilonProfile, WeightedNet
 from epsnet.verification import verify_weighted_net_boxes
@@ -126,6 +132,141 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     write_json_atomic(str(path), {"x": 2})
     assert json.loads(path.read_text()) == {"x": 2}
     assert os.listdir(tmp_path) == ["out.json"]
+    # created exclusively with mode 0o600, as tempfile.mkstemp creates it
+    assert stat.S_IMODE(os.stat(path).st_mode) == 0o600 & ~_umask()
+    # a write that fails part way leaves the target as it was, and no temp
+    with pytest.raises(UnicodeEncodeError):
+        write_text_atomic(str(path), "{}\n" + "\ud800")
+    with pytest.raises(UnicodeEncodeError):
+        write_text_atomic(str(tmp_path / "new.json"), "\ud800")
+    assert json.loads(path.read_text()) == {"x": 2}
+    assert os.listdir(tmp_path) == ["out.json"]
+
+
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
+def _coord_literal(rng: random.Random, v: F, ints_only: bool) -> str:
+    """v as a JSON integer, or, unless ``ints_only``, as a "p/q" string
+    (possibly unreduced) or a decimal literal where v has one."""
+    forms = []
+    if v.denominator == 1:
+        forms.append(str(v.numerator))
+    if not ints_only:
+        k = rng.choice((1, 1, 2, 3))
+        forms.append(f'"{v.numerator * k}/{v.denominator * k}"')
+        if v.denominator == 1:
+            forms.append(f'"{v.numerator}"')
+        for m in range(4):
+            if 10 ** m % v.denominator == 0:
+                digits = abs(v.numerator) * (10 ** m // v.denominator)
+                whole, frac = divmod(digits, 10 ** m)
+                sign = "-" if v < 0 else ""
+                forms.append(f"{sign}{whole}.{frac:0{m}d}" if m else f"{sign}{whole}.0")
+                forms.append(f"{sign}{digits}e-{m}")
+                break
+    return rng.choice(forms)
+
+
+def _axis_read_backs(P: PointSet) -> list:
+    ranges._axis_orders.cache_clear()
+    return [
+        (tuple(F(c, P.scale) for c in coords), order, rank)
+        for coords, order, rank in ranges._axis_orders(P)
+    ]
+
+
+def test_read_pointset_matches_fraction_reader(tmp_path):
+    """The integer reader and the Fraction reader build equal point sets
+    from documents mixing JSON integers (negative, beyond 2**64), "p/q"
+    strings and decimal literals, with repeated coordinates and duplicate
+    points: equal sets, hashes, Fraction views, digests and axis orders."""
+    rng = random.Random(2501)
+    big = 2 ** 64
+    pool = [
+        F(0), F(3), F(-7), F(big + 5), F(-big - 11), F(10 ** 25 + 3),
+        F(1, 2), F(-3, 4), F(5, 8), F(7, 3), F(-1, 6), F(big + 1, 5), F(3, 1000),
+    ]
+    path = str(tmp_path / "p.json")
+    all_int = 0
+    for trial in range(120):
+        d = rng.randint(1, 4)
+        ints_only = trial % 3 == 0
+        values = [v for v in pool if v.denominator == 1] if ints_only else pool
+        pts = [
+            tuple(rng.choice(values) for _ in range(d))
+            for _ in range(rng.randint(1, 9))
+        ]
+        pts += rng.sample(pts, rng.randint(0, len(pts)))  # duplicate points
+        rng.shuffle(pts)
+        rows = ", ".join(
+            "[" + ", ".join(_coord_literal(rng, v, ints_only) for v in p) + "]"
+            for p in pts
+        )
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f'{{"dim": {d}, "points": [{rows}]}}')
+        fast = read_pointset(path)
+        slow = slow_read_pointset(path)
+        want = tuple(pts)
+        assert fast == slow and hash(fast) == hash(slow), rows
+        assert fast.points == slow.points == want, rows
+        assert all(type(c) is int for p in fast.ipts for c in p)
+        all_int += ints_only
+        if ints_only:
+            assert fast.scale == 1 and fast.ipts == tuple(
+                tuple(int(c) for c in p) for p in want
+            )
+        text = dumps_json({"dim": d, "points": [point_to_json(p) for p in want]})
+        digest = "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert pointset_digest(fast) == pointset_digest(slow) == digest
+        got = _axis_read_backs(fast)
+        assert got == _axis_read_backs(slow)
+        assert [(c, o) for c, o, _ in got] == list(_slow_axis_orders(slow))
+    assert all_int == 40
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        "[[1, true]]",
+        "[[1, null]]",
+        '[[1, "abc"]]',
+        '[[1, "3/0"]]',
+        "[[1, [2]]]",
+        '[[1, {"a": 1}]]',
+        "[[1, 2], 3]",
+        "[[1, 2], [1, 2, 3]]",
+        '[[1, 2], ["1/2", false], [1]]',
+        '[[1, 2], [1], ["1/2", false]]',
+        '[[1, "1/2"], [0.5, "x"]]',
+    ],
+)
+def test_read_pointset_rejects_as_the_fraction_reader(tmp_path, rows):
+    path = str(tmp_path / "bad.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f'{{"dim": 2, "points": {rows}}}')
+    with pytest.raises(ValueError) as want:
+        slow_read_pointset(path)
+    with pytest.raises(ValueError) as got:
+        read_pointset(path)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_integer_input_builds_no_fraction_view(tmp_path, d):
+    """An all-integer document goes through the box pair and the digest
+    without the point set's Fraction view ever being built."""
+    P0 = random_pointset(random.Random(d), 40, d)
+    path = str(tmp_path / "p.json")
+    write_pointset(path, P0)
+    P = read_pointset(path)
+    assert P == P0 and P.scale == 1
+    construct_box_pair_highd(P, EpsilonProfile((F(1, 2), F(1, 2))))
+    assert pointset_digest(P) == pointset_digest(P0)
+    assert "points" not in vars(P)
 
 
 def test_make_report_skips_empty_sections():

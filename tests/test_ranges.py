@@ -221,8 +221,9 @@ def test_box_regions_avoiding_matches_slow(d):
 
 def test_axis_orders_match_fraction_sort_on_ties():
     """Sorted on integer coordinates, each axis order is the stable Fraction
-    sort: repeated coordinates, equal rationals written over different
-    denominators, and duplicate points keep index order."""
+    sort, and its coordinates read back over ``P.scale`` are the sorted
+    Fractions: repeated coordinates, equal rationals written over
+    different denominators, and duplicate points keep index order."""
     rng = random.Random(19)
     sets = [
         P2(*REPEATED_11),
@@ -240,7 +241,8 @@ def test_axis_orders_match_fraction_sort_on_ties():
         for (coords, order, rank), (want_coords, want_order) in zip(
             ranges._axis_orders(P), _slow_axis_orders(P)
         ):
-            assert (coords, order) == (want_coords, want_order)
+            back = tuple(F(c, P.scale) for c in coords)
+            assert (back, order) == (want_coords, want_order)
             assert [order[r] for r in rank] == list(range(P.n))
 
 
