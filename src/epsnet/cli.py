@@ -22,6 +22,7 @@ import argparse
 import itertools
 import sys
 import time
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
@@ -56,6 +57,7 @@ from .ranges import (
     _candidate_masks,
     box_masks,
     max_mask_intersection,
+    undominated,
 )
 from .svg import render_svg
 from .verification import DEFAULT_CONVEX_BUDGET, verify_weighted_net
@@ -306,45 +308,83 @@ def _grid_candidates(P: PointSet, resolution: int) -> list[Point]:
     return sorted(set(itertools.product(*axes)))
 
 
-def _parse_candidates(P: PointSet, kind: RangeSpaceKind, text: str) -> list[Point]:
+def _grid_size(P: PointSet, resolution: int) -> int:
+    """``len(_grid_candidates(P, resolution))`` without building it: an
+    axis on which P is flat has one grid line, every other axis
+    resolution + 1 distinct ones."""
+    size = 1
+    for col in zip(*P.ipts):
+        if min(col) < max(col):
+            size *= resolution + 1
+    return size
+
+
+def _grid_resolution(text: str) -> Optional[int]:
+    """R for the family ``grid:R``, None for ``arrangement``."""
     if text == "arrangement":
-        return _arrangement_candidates(P, kind)
-    if text.startswith("grid:"):
-        return _grid_candidates(P, int(text.split(":", 1)[1]))
-    raise ValueError(f"unknown candidate family {text!r}")
+        return None
+    if not text.startswith("grid:"):
+        raise ValueError(f"unknown candidate family {text!r}")
+    part = text[len("grid:"):]
+    try:
+        resolution = int(part)
+    except ValueError:
+        resolution = 0
+    if resolution < 1:
+        raise ValueError(f"grid resolution must be a positive integer, got {part!r}")
+    return resolution
 
 
 def _search(P, kind, candidates, size):
     """Lexicographically smallest (largest range missing the whole net,
-    largest range missing some net point) over candidate nets.
+    largest range missing some net point) over candidate nets, and the
+    first net in ``combinations_with_replacement`` order that attains it.
 
-    Each candidate is reduced once to its masks, and nets are scanned as
-    index tuples by ``max_mask_intersection`` on those masks alone.  Each
-    net's query stops at ``cap``, the smallest first count that can no
-    longer win; for pairs a tie still can, on the second count.
+    Each candidate is reduced once to its masks; a net's first count is
+    ``max_mask_intersection`` on its members' masks, and a candidate's
+    single count is the popcount of its first mask.  A single count is a
+    size-1 net's key, so size 1 needs no more.
+
+    Pairs take three steps.  (1) Dominance: if every mask of candidate i
+    lies inside some mask of candidate j, every subset separable from i is
+    separable from j, so putting i in place of j lowers neither count of
+    any net.  Every candidate is dominated by an ``undominated`` one, so
+    the smallest key over their nets is the smallest key over all nets.
+    (2) That key is found over the kept candidates' nets; each net's query
+    stops at ``cap``, the smallest first count that can no longer win (a
+    tie on the first count still can, on the second).  (3) A dominated
+    candidate with a smaller index may tie, so all candidates' nets are
+    scanned in order for the first one with that key.  Only rows and
+    columns whose single count can give the key's second entry are
+    visited, and only nets whose larger single count is that entry are
+    queried, each stopping once its first count passes the key's.
     """
     # a candidate's masks: the open halfspaces through it whose points a
     # range missing it must lie in
     boxes = kind is RangeSpaceKind.AXIS_PARALLEL_BOXES
     masks = [box_masks(P, q) if boxes else _candidate_masks(P, q) for q in candidates]
-    best = None  # ((counts...), candidate indices)
-    singles: dict[int, int] = {}
-
-    def single(i: int) -> int:
-        if i not in singles:
-            singles[i] = max_mask_intersection((masks[i],))[0]
-        return singles[i]
-
-    for net in itertools.combinations_with_replacement(range(len(masks)), size):
-        cap = P.n + 1 if best is None else best[0][0] + (1 if size > 1 else 0)
+    singles = [m[0].bit_count() if m else 0 for m in masks]
+    if size == 1:
+        low = min(singles)
+        return (low,), (candidates[singles.index(low)],)
+    best = None
+    for net in itertools.combinations_with_replacement(undominated(masks), 2):
+        cap = P.n + 1 if best is None else best[0] + 1
         first = max_mask_intersection([masks[i] for i in net], cap)[0]
         if first >= cap:
             continue
-        key = (first,) if size == 1 else (first, max(map(single, net)))
-        if best is None or key < best[0]:
-            best = (key, net)
-    key, net = best
-    return key, tuple(candidates[i] for i in net)
+        key = (first, max(singles[i] for i in net))
+        if best is None or key < best:
+            best = key
+    first, top = best
+    level = [j for j, s in enumerate(singles) if s == top]
+    below = [j for j, s in enumerate(singles) if s <= top]
+    for i in below:
+        row = below if singles[i] == top else level
+        for j in row[bisect_left(row, i):]:
+            if max_mask_intersection((masks[i], masks[j]), first + 1)[0] == first:
+                return best, (candidates[i], candidates[j])
+    raise AssertionError("no net attains the best key")
 
 
 def cmd_search(args, argv) -> int:
@@ -357,12 +397,14 @@ def cmd_search(args, argv) -> int:
         raise ValueError(
             f"search is exhaustive; {kind.value} ranges support n <= {max_n}"
         )
-    candidates = _parse_candidates(P, kind, args.candidates)
-    nets_to_try = (
-        len(candidates)
-        if args.size == 1
-        else len(candidates) * (len(candidates) + 1) // 2
-    )
+    # a grid's size is known before it is built; the budget is checked first
+    resolution = _grid_resolution(args.candidates)
+    if resolution is None:
+        candidates = _arrangement_candidates(P, kind)
+        count = len(candidates)
+    else:
+        count = _grid_size(P, resolution)
+    nets_to_try = count if args.size == 1 else count * (count + 1) // 2
     sections: dict = {}
     started = time.perf_counter()
     try:
@@ -372,13 +414,15 @@ def cmd_search(args, argv) -> int:
                 f" budget {args.budget}; shrink the candidate family",
                 required=nets_to_try,
             )
+        if resolution is not None:
+            candidates = _grid_candidates(P, resolution)
         counts, net = _search(P, kind, candidates, args.size)
         reference = CONSTRUCTION_EPS1.get((kind, args.size))
         sections["search"] = {
             "ranges": kind.value,
             "size": args.size,
             "candidate_family": args.candidates,
-            "candidates": len(candidates),
+            "candidates": count,
             "nets_examined": nets_to_try,
             "best": {
                 "points": [point_to_json(q) for q in net],
@@ -485,7 +529,9 @@ COMMANDS = {
                 {
                     "type": int,
                     "default": DEFAULT_SEARCH_BUDGET,
-                    "help": "cap on the candidate nets search evaluates",
+                    "help": "cap on the nets of the candidate family: c for"
+                    " --size 1 and c(c+1)/2 for --size 2 over c candidates,"
+                    " however few of them search queries",
                 },
             ),
         ),

@@ -29,7 +29,8 @@ the OR of the point bits in sorted order, at q's place among the sorted
 coordinates (``box_signature``), so no region compares a coordinate
 (rank space: Dobkin, Gunopulos & Maass, JCSS 1996); a box region is the AND
 of one mask per avoided point and its count a popcount.  Search reduces
-each candidate net point once and runs its pair loop on the masks.  The
+each candidate net point once, drops the candidates another one
+dominates (``undominated``) and runs its pair loop on the masks.  The
 same masks decide subset-hull membership (``hull_holds``): in d <= 3 a
 subset's hull misses q iff the subset lies inside one of q's masks.
 """
@@ -410,6 +411,50 @@ def max_mask_intersection(
         lists, 0, -1, 0, 0, float("inf") if stop_at is None else stop_at
     )  # -1 has every bit set
     return best, best_mask
+
+
+def undominated(lists: Sequence[Sequence[int]]) -> list[int]:
+    """Ascending indices of a covering set of the mask lists: each list is
+    dominated by a kept one.
+
+    List i dominates list j when every mask of i lies inside some mask of
+    j (equal lists dominate each other; a list without masks dominates
+    every list).  A range missing i's point then fits in one of j's masks,
+    so putting i in place of j among the lists of
+    :func:`max_mask_intersection` lowers neither its answer nor the
+    popcount of the first mask.
+
+    Each distinct mask gets the bitset of the lists holding a superset of
+    it, and the AND of those bitsets over a list's masks is the bitset of
+    the lists it dominates.  Lists are kept greedily by descending number
+    dominated, so a strict dominator comes first and one list is kept per
+    class of undominated equal-reach lists.
+    """
+    holders: dict[int, int] = {}
+    for i, masks in enumerate(lists):
+        for m in masks:
+            holders[m] = holders.get(m, 0) | 1 << i
+    above = {}
+    for m in holders:
+        up = 0
+        for m2, held in holders.items():
+            if not m & ~m2:
+                up |= held
+        above[m] = up
+    full = (1 << len(lists)) - 1
+    reach = []
+    for masks in lists:
+        dominated = full
+        for m in masks:
+            dominated &= above[m]
+        reach.append(dominated)
+    covered = 0
+    kept = []
+    for i in sorted(range(len(lists)), key=lambda i: -reach[i].bit_count()):
+        if not covered >> i & 1:
+            kept.append(i)
+            covered |= reach[i]
+    return sorted(kept)
 
 
 def _deepest(lists, level, base, best, best_mask, stop_at):

@@ -6,11 +6,11 @@ separation enumerates candidate hyperplanes, counting is a naive scan.
 At the end sit the plain versions of optimised kernels (the planar
 general-position check, the planar convex-pair construction with its
 Fraction polygon clipping, the 3D avoidance oracle, the Fraction simplex
-tableau, the Fraction box region filter, the closure mask descent, the
-search over points, the Fraction arrangement vertices, the Fraction probe
-lattice, the oracle-threshold check that queries every pair, the Fraction
-lens hulls and per-point count and membership claims, the
-verifiers' per-kind level loops, the Fraction box pair, triple and median
+tableau, the Fraction box region filter, the closure mask descent,
+dominance by down-closures, the search over points, the Fraction
+arrangement vertices, the Fraction probe lattice, the oracle-threshold
+check that queries every pair, the Fraction lens hulls and per-point
+count and membership claims, the verifiers' per-kind level loops, the Fraction box pair, triple and median
 point, the Fraction SVG coordinate map, and the point-set reader that
 turns every coordinate into a Fraction),
 which differential tests hold the library's kernels to, output for output.
@@ -836,6 +836,27 @@ def slow_max_mask_intersection(lists, stop_at=None):
 
     descend(0, -1)
     return best, best_mask
+
+
+def slow_undominated(lists, n):
+    """``ranges.undominated`` by down-closures, for masks of n <= 6 bits:
+    list i dominates list j when every non-empty subset of {0..n-1} lying
+    in a mask of i lies in a mask of j.  Kept: the smallest index of each
+    class of equal down-closures that strictly contains no other
+    closure."""
+    assert n <= 6
+    closures = [
+        {s for s in range(1, 1 << n) if any(s & ~m == 0 for m in masks)}
+        for masks in lists
+    ]
+    return [
+        i
+        for i, mine in enumerate(closures)
+        if not any(
+            other < mine or (other == mine and j < i)
+            for j, other in enumerate(closures)
+        )
+    ]
 
 
 def slow_search(P, kind, candidates, size):

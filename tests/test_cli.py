@@ -15,10 +15,12 @@ from pathlib import Path
 import pytest
 
 import epsnet
+import epsnet.cli as cli
 from epsnet.cli import (
     SEARCH_MAX_N,
     _arrangement_candidates,
-    _parse_candidates,
+    _grid_candidates,
+    _grid_size,
     _parse_exact,
     _search,
     build_parser,
@@ -33,7 +35,14 @@ from epsnet.io_formats import (
     verification_to_json,
     write_pointset,
 )
-from epsnet.ranges import EpsilonProfile, RangeSpaceKind, WeightedNet
+from epsnet.ranges import (
+    EpsilonProfile,
+    RangeSpaceKind,
+    WeightedNet,
+    _candidate_masks,
+    box_masks,
+    undominated,
+)
 
 from helpers import (
     REPEATED_11,
@@ -482,7 +491,10 @@ def test_search_matches_slow_search(kind, family, size):
         if boxes and n > 3:
             pts[-1] = pts[0]
         P = PointSet(2, tuple(pts))
-        candidates = _parse_candidates(P, kind, family)
+        if family == "arrangement":
+            candidates = _arrangement_candidates(P, kind)
+        else:
+            candidates = _grid_candidates(P, 3)
         assert _search(P, kind, candidates, size) == slow_search(
             P, kind, candidates, size
         ), (pts, family)
@@ -537,6 +549,127 @@ def test_box_arrangement_candidates_are_the_coordinate_grid(name):
     want.update(product({p[0] for p in P.points}, {p[1] for p in P.points}))
     assert got == sorted(want)
     assert all(type(c) is F for q in got for c in q)
+
+
+@pytest.mark.parametrize("size", [1, 2])
+@pytest.mark.parametrize("kind", ["boxes", "convex"])
+@pytest.mark.parametrize("name", sorted(ARRANGEMENT_SETS))
+def test_search_on_degenerate_arrangements_matches_slow_search(name, kind, size):
+    """Dominance pruning keeps (counts, net) on collinear, parallel,
+    duplicate and single repeated points."""
+    P = PointSet(2, tuple(ARRANGEMENT_SETS[name]))
+    kind = RangeSpaceKind(kind)
+    candidates = _arrangement_candidates(P, kind)
+    assert _search(P, kind, candidates, size) == slow_search(
+        P, kind, candidates, size
+    )
+
+
+def _search_masks(P, kind, candidates):
+    if kind is RangeSpaceKind.AXIS_PARALLEL_BOXES:
+        return [box_masks(P, q) for q in candidates]
+    return [_candidate_masks(P, q) for q in candidates]
+
+
+def test_search_answer_with_a_dominated_candidate():
+    """The first best net in order may hold a candidate that a later one
+    strictly dominates; the scan over all candidates still returns it."""
+    P = PointSet(2, tuple(
+        (F(x), F(y)) for x, y in [(0, 0), (1, 5), (4, 3), (6, 5), (2, 2), (6, 0)]
+    ))
+    kind = RangeSpaceKind.CONVEX_SETS
+    candidates = _grid_candidates(P, 2)
+    masks = _search_masks(P, kind, candidates)
+
+    def dominates(i, j):
+        return all(any(not m & ~m2 for m2 in masks[j]) for m in masks[i])
+
+    key, net = _search(P, kind, candidates, 2)
+    assert (key, net) == slow_search(P, kind, candidates, 2)
+    kept = undominated(masks)
+    strict = [
+        i for i in map(candidates.index, net)
+        if i not in kept
+        and any(dominates(k, i) and not dominates(i, k) for k in range(len(masks)))
+    ]
+    assert strict
+
+
+def test_search_queries_a_quarter_of_the_nets(monkeypatch):
+    """On a 7-point set in general position the pair search runs at most a
+    quarter of the c(c+1)/2 net queries of the full pair loop."""
+    P = PointSet(2, tuple(
+        (F(x), F(y))
+        for x, y in [(0, 0), (7, 1), (2, 9), (11, 6), (5, 4), (9, 13), (14, 3)]
+    ))
+    kind = RangeSpaceKind.CONVEX_SETS
+    candidates = _arrangement_candidates(P, kind)
+    calls = []
+    real = cli.max_mask_intersection
+
+    def counting(lists, stop_at=None):
+        calls.append(len(lists))
+        return real(lists, stop_at)
+
+    monkeypatch.setattr(cli, "max_mask_intersection", counting)
+    got = _search(P, kind, candidates, 2)
+    c = len(candidates)
+    assert c == 112
+    assert 0 < len(calls) <= c * (c + 1) // 2 // 4
+    monkeypatch.undo()
+    assert got == slow_search(P, kind, candidates, 2)
+
+
+def test_grid_budget_is_checked_before_the_grid_is_built(workspace, capsys, monkeypatch):
+    def unbuilt(P, resolution):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(cli, "_grid_candidates", unbuilt)
+    code, out = run(
+        capsys,
+        "search", "--ranges", "convex", "--size", "2",
+        "--input", "points8.json", "--candidates", "grid:100000",
+    )
+    assert code == 4
+    c = 100001 ** 2
+    assert json.loads(out)["budget"] == {
+        "exceeded": True,
+        "message": f"search needs {c * (c + 1) // 2} net evaluations,"
+        " budget 500000; shrink the candidate family",
+        "required": c * (c + 1) // 2,
+    }
+
+
+def test_grid_size_counts_the_grid():
+    """The grid's size without building it, with flat axes too."""
+    rng = random.Random(909)
+    sets = [
+        [(3, 1), (3, 4), (3, -2)],  # flat x
+        [(0, 5), (2, 5)],  # flat y
+        [(F(1, 3), 2), (F(1, 3), 2)],  # one point repeated: both flat
+        [(F(1, 2), F(1, 3)), (F(3, 4), F(2, 3)), (0, 0)],
+    ]
+    sets += [
+        [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(1, 6))]
+        for _ in range(20)
+    ]
+    for pts in sets:
+        P = PointSet(2, tuple((F(x), F(y)) for x, y in pts))
+        for r in (1, 2, 5):
+            assert _grid_size(P, r) == len(_grid_candidates(P, r)), (pts, r)
+
+
+@pytest.mark.parametrize("family", ["grid:abc", "grid:", "grid:2.5", "grid:0"])
+def test_search_malformed_grid(workspace, capsys, family):
+    code, out = run(
+        capsys,
+        "search", "--ranges", "boxes", "--size", "1",
+        "--input", "points8.json", "--candidates", family,
+    )
+    assert code == 2
+    assert json.loads(out)["error"] == (
+        f"grid resolution must be a positive integer, got {family[5:]!r}"
+    )
 
 
 def test_search_grid_refinement_is_monotone(workspace, capsys):

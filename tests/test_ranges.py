@@ -26,6 +26,7 @@ from epsnet.ranges import (
     max_mask_intersection,
     max_subset_avoiding,
     max_subset_avoiding_witness,
+    undominated,
 )
 
 from helpers import (
@@ -40,6 +41,7 @@ from helpers import (
     slow_largest_box_avoiding,
     slow_max_mask_intersection,
     slow_max_subset_avoiding_witness,
+    slow_undominated,
     subset_box_counts,
 )
 
@@ -534,6 +536,36 @@ def test_mask_intersection_empty_list():
     assert max_subset_avoiding_witness(ps, [(F(1), F(1))]) == (0, ())
     with pytest.raises(ValueError):
         max_mask_intersection([])
+
+
+def test_undominated_matches_down_closures():
+    """The bitset dominance keeps the same lists as the comparison of
+    down-closures, on seeded lists of n <= 6 bits: empty lists, masks
+    repeated in a list, equal lists in other orders and masks inside
+    other masks; each list is dominated by a kept one."""
+    rng = random.Random(2727)
+    pruned = ties = 0
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        lists = []
+        for _ in range(rng.randint(1, 12)):
+            roll = rng.random()
+            if lists and roll < 0.2:
+                lists.append(rng.choice(lists)[::-1])  # an equal list
+                continue
+            masks = [rng.randint(1, (1 << n) - 1) for _ in range(rng.randint(0, 4))]
+            if masks and roll < 0.4:
+                masks.append(masks[0] & rng.randint(1, (1 << n) - 1) or masks[0])
+            lists.append(tuple(masks + rng.sample(masks, min(len(masks), 1))))
+        kept = undominated(lists)
+        assert kept == slow_undominated(lists, n), lists
+        for j, masks in enumerate(lists):
+            assert any(
+                all(any(not m & ~m2 for m2 in masks) for m in lists[i]) for i in kept
+            ), (lists, j)
+        pruned += len(kept) < len(lists)
+        ties += len(set(lists)) < len(lists)
+    assert pruned > 200 and ties > 50
 
 
 def _random_avoid_instances(seed, trials):
