@@ -397,6 +397,7 @@ def cmd_search(args, argv) -> int:
         raise ValueError(
             f"search is exhaustive; {kind.value} ranges support n <= {max_n}"
         )
+    started = time.perf_counter()
     # a grid's size is known before it is built; the budget is checked first
     resolution = _grid_resolution(args.candidates)
     if resolution is None:
@@ -406,7 +407,6 @@ def cmd_search(args, argv) -> int:
         count = _grid_size(P, resolution)
     nets_to_try = count if args.size == 1 else count * (count + 1) // 2
     sections: dict = {}
-    started = time.perf_counter()
     try:
         if nets_to_try > args.budget:
             raise BudgetExceededError(
