@@ -427,8 +427,9 @@ def undominated(lists: Sequence[Sequence[int]]) -> list[int]:
     Each distinct mask gets the bitset of the lists holding a superset of
     it, and the AND of those bitsets over a list's masks is the bitset of
     the lists it dominates.  Lists are kept greedily by descending number
-    dominated, so a strict dominator comes first and one list is kept per
-    class of undominated equal-reach lists.
+    dominated, so a strict dominator comes first: of each class of lists
+    that dominate each other and that no other list strictly dominates,
+    the one with the smallest index is kept.
     """
     holders: dict[int, int] = {}
     for i, masks in enumerate(lists):

@@ -10,9 +10,10 @@ tableau, the Fraction box region filter, the closure mask descent,
 dominance by down-closures, the search over points, the Fraction
 arrangement vertices, the Fraction probe lattice, the oracle-threshold
 check that queries every pair, the Fraction lens hulls and per-point
-count and membership claims, the verifiers' per-kind level loops, the Fraction box pair, triple and median
-point, the Fraction SVG coordinate map, and the point-set reader that
-turns every coordinate into a Fraction),
+count and membership claims, the verifiers' per-kind level loops, the
+Fraction box pair, triple and median point, the Fraction SVG coordinate
+map, and the point-set reader that turns every coordinate into a
+Fraction),
 which differential tests hold the library's kernels to, output for output.
 """
 

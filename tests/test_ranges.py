@@ -564,7 +564,7 @@ def test_undominated_matches_down_closures():
                 all(any(not m & ~m2 for m2 in masks) for m in lists[i]) for i in kept
             ), (lists, j)
         pruned += len(kept) < len(lists)
-        ties += len(set(lists)) < len(lists)
+        ties += len(set(map(frozenset, lists))) < len(lists)
     assert pruned > 200 and ties > 50
 
 
